@@ -9,7 +9,9 @@
 //! - `profile.folded` — collapsed-stack span profile of all runs, ready
 //!   for `flamegraph.pl` / inferno;
 //! - `trace-<i>.json` — Chrome trace-event (Perfetto) exports of a
-//!   deterministic reservoir sample of full run traces;
+//!   deterministic reservoir sample of full run traces (the reservoir is
+//!   drawn over the sampled jobs before the batch, so only the chosen
+//!   jobs record a trace);
 //! - `events.jsonl` — one wide [`JobEvent`] line per job, in global job
 //!   order, with trace/span ids minted deterministically from
 //!   `(run_id, job)` ([`qa_obs::TraceContext`]): the identity fields are
@@ -57,8 +59,8 @@
 //!
 //! With `--jobs N` (N > 1) runs are fanned out over the `qa-par`
 //! work-stealing executor. The outputs stay **byte-identical** to
-//! `--jobs 1` on the same seed: sampling flags are pre-drawn in job order,
-//! outcomes land in indexed slots, reservoir offers happen in job order
+//! `--jobs 1` on the same seed: sampling flags and the traced reservoir
+//! are pre-drawn in job order, the wide events are sorted by job index
 //! after the batch, and the merged metrics are commutative counter sums.
 //! (`summary.txt` therefore carries no wall-clock line; latency
 //! percentiles go to stdout only.) If any run fails, a partial
@@ -112,18 +114,20 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use qa_base::rng::{Rng, StdRng};
-use qa_base::{Alphabet, Error, Symbol};
+use qa_base::{Alphabet, Symbol};
 use qa_core::ranked::query::example_4_4;
 use qa_core::unranked::query::{example_5_14, example_5_9};
 use qa_flight::{
     parse_events, Budget, FlightRecorder, JobEvent, OneInN, Reservoir, Sampled, SharedEvents,
     SharedFlight, Watchdog,
 };
-use qa_obs::{percentile_sorted, Counter, Metrics, NoopObserver, RunTrace, Tee, TraceContext};
+use qa_obs::{
+    percentile_sorted, render_events, Counter, Metrics, NoopObserver, RunTrace, Tee, TraceContext,
+};
 use qa_probe::export::chrome_trace;
 use qa_pulse::{PulseServer, PulseState, SpanProfile, SpanProfiler, Weight};
 use qa_scope::ScopeProfiler;
-use qa_sentinel::{parse_rules, AlertRule, JobStats, Replay, SharedSentinel};
+use qa_sentinel::{parse_rules, AlertRule, Replay, SharedSentinel};
 use qa_trees::Tree;
 use qa_twoway::string_qa::example_3_4_qa;
 
@@ -133,10 +137,6 @@ use qa_twoway::string_qa::example_3_4_qa;
 #[cfg(feature = "alloc-count")]
 #[global_allocator]
 static ALLOC: qa_pulse::CountingAlloc = qa_pulse::CountingAlloc::new();
-
-/// One finished run's slot: the outcome, its sampled trace (if any), and
-/// its wide event.
-type RunSlot = Option<(RunOutcome, Option<RunTrace>, JobEvent)>;
 
 const USAGE: &str = "usage:
   qa-fleet [--queries M] [--docs K] [--size N] [--sweep] [--seed S]
@@ -476,48 +476,27 @@ fn generate_doc(name: &str, size: usize, seed: u64) -> Doc {
     }
 }
 
-/// Outcome of one fleet run.
-struct RunOutcome {
-    workload: &'static str,
-    doc_nodes: usize,
-    steps: u64,
-    reversals: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    budget_trips: u64,
-    latency: Duration,
-    selected: usize,
-    sampled: bool,
-    error: Option<Error>,
-    /// Post-mortem dump, present when the run failed.
-    dump: Option<String>,
-}
-
-/// Per-workload aggregate for the summary table.
-#[derive(Default)]
-struct QueryStats {
-    runs: u64,
-    failed: u64,
-    steps: u64,
-    selected: u64,
-}
-
+/// Run one job under the `opts` budget, filling the measured fields of its
+/// wide `event` (counters, selection, outcome, latency). Returns the
+/// flight-recorder dump when the run failed, the full trace when
+/// `traced`, and the run's span profile and, with `--scope`, its scope
+/// profile.
 fn run_one(
+    opts: &Opts,
     wl: &Workload,
     doc: &Doc,
-    budget: Budget,
-    sampled: bool,
-    scope: bool,
+    traced: bool,
     fleet: &Metrics,
     live: Option<&SharedFlight>,
+    event: &mut JobEvent,
 ) -> (
-    RunOutcome,
+    Option<String>,
     Option<RunTrace>,
     SpanProfile,
     Option<ScopeProfiler>,
 ) {
     let run_metrics = Metrics::new();
-    let trace_arm = if sampled {
+    let trace_arm = if traced {
         Sampled::Full(RunTrace::new())
     } else {
         Sampled::Light(NoopObserver)
@@ -532,7 +511,7 @@ fn run_one(
     };
     // The per-state profiler is per-run (single-threaded, deterministic);
     // merging at run end keeps scope.json independent of job interleaving.
-    let scope_arm = if scope {
+    let scope_arm = if opts.scope {
         Sampled::Full(ScopeProfiler::new())
     } else {
         Sampled::Light(NoopObserver)
@@ -548,7 +527,7 @@ fn run_one(
                 ),
             ),
         ),
-        budget,
+        Budget::steps(opts.max_steps).with_wall(opts.max_wall),
     );
 
     let t0 = Instant::now();
@@ -558,56 +537,52 @@ fn run_one(
         (QueryKind::Unranked(q), Doc::Tree(t)) => q.query_with(t, &mut obs).map(|sel| sel.len()),
         _ => unreachable!("workload/document kind mismatch"),
     };
-    let latency = t0.elapsed();
+    event.wall_ns = t0.elapsed().as_nanos() as u64;
 
     let Tee(recorder, Tee(_, Tee(trace_arm, Tee(profiler, Tee(scope_arm, _))))) = obs.into_inner();
-    let trace = trace_arm.full();
-    let scope_profile = scope_arm.full();
-    let (selected, error, dump) = match result {
-        Ok(n) => (n, None, None),
+    let dump = match result {
+        Ok(n) => {
+            event.selected = n;
+            event.outcome = "ok".to_string();
+            None
+        }
         Err(e) => {
-            let mut dump = format!("workload: {}\nerror: {e}\n\n", wl.name);
-            dump.push_str(&recorder.dump());
-            (0, Some(e), Some(dump))
+            event.outcome = e.to_string();
+            Some(format!(
+                "workload: {}\nerror: {e}\n\n{}",
+                wl.name,
+                recorder.dump()
+            ))
         }
     };
     // Every completed run is one job — the denominator burn-rate SLOs
     // divide error counters by.
     run_metrics.count(Counter::Jobs, 1);
-    let outcome = RunOutcome {
-        workload: wl.name,
-        doc_nodes: doc.len(),
-        steps: run_metrics.get(Counter::Steps),
-        reversals: run_metrics.get(Counter::HeadReversals),
-        cache_hits: run_metrics.get(Counter::CacheHits),
-        cache_misses: run_metrics.get(Counter::CacheMisses),
-        budget_trips: run_metrics.get(Counter::BudgetTrips),
-        latency,
-        selected,
-        sampled,
-        error,
-        dump,
-    };
+    event.steps = run_metrics.get(Counter::Steps);
+    event.reversals = run_metrics.get(Counter::HeadReversals);
+    event.cache_hits = run_metrics.get(Counter::CacheHits);
+    event.cache_misses = run_metrics.get(Counter::CacheMisses);
+    event.budget_trips = run_metrics.get(Counter::BudgetTrips);
     fleet.merge(&run_metrics);
-    (outcome, trace, profiler.into_profile(), scope_profile)
+    (
+        dump,
+        trace_arm.full(),
+        profiler.into_profile(),
+        scope_arm.full(),
+    )
 }
 
-/// Render the fleet summary. With `include_latency` the wall-clock
-/// percentile line is appended — that variant goes to stdout only, so the
-/// `summary.txt` on disk is byte-identical across reruns and `--jobs`
-/// settings.
-fn render_summary(
-    opts: &Opts,
-    outcomes: &[&RunOutcome],
-    stats: &[(&'static str, QueryStats)],
-    include_latency: bool,
-) -> String {
+/// Render the fleet summary from the job-ordered events. With
+/// `include_latency` the wall-clock percentile line is appended — that
+/// variant goes to stdout only, so the `summary.txt` on disk is
+/// byte-identical across reruns and `--jobs` settings.
+fn render_summary(opts: &Opts, events: &[JobEvent], include_latency: bool) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     let _ = writeln!(
         out,
         "qa-fleet: {} run(s) = {} query kind(s) x {} doc(s), size {}, seed {}",
-        outcomes.len(),
+        events.len(),
         opts.queries,
         opts.docs,
         opts.size,
@@ -619,7 +594,7 @@ fn render_summary(
             "shard {i}/{n} (worker {}, run {}): {} of {} grid job(s)",
             opts.worker_id.as_deref().unwrap_or("?"),
             opts.run_id.as_deref().unwrap_or("local"),
-            outcomes.len(),
+            events.len(),
             opts.queries * opts.docs
         );
     }
@@ -628,20 +603,30 @@ fn render_summary(
         "{:<14} {:>5} {:>7} {:>12} {:>10} {:>10}",
         "query", "runs", "failed", "steps", "sel/run", "steps/run"
     );
-    for (name, st) in stats {
+    // One row per query kind, in first-seen (= roster) order.
+    let mut queries: Vec<&str> = Vec::new();
+    for ev in events {
+        if !queries.contains(&ev.query.as_str()) {
+            queries.push(&ev.query);
+        }
+    }
+    for name in queries {
+        let runs: Vec<&JobEvent> = events.iter().filter(|e| e.query == name).collect();
+        let steps: u64 = runs.iter().map(|e| e.steps).sum();
+        let selected: usize = runs.iter().map(|e| e.selected).sum();
         let _ = writeln!(
             out,
             "{:<14} {:>5} {:>7} {:>12} {:>10.1} {:>10.1}",
             name,
-            st.runs,
-            st.failed,
-            st.steps,
-            st.selected as f64 / st.runs.max(1) as f64,
-            st.steps as f64 / st.runs.max(1) as f64
+            runs.len(),
+            runs.iter().filter(|e| e.failed()).count(),
+            steps,
+            selected as f64 / runs.len() as f64,
+            steps as f64 / runs.len() as f64
         );
     }
 
-    let mut steps: Vec<u64> = outcomes.iter().map(|o| o.steps).collect();
+    let mut steps: Vec<u64> = events.iter().map(|e| e.steps).collect();
     steps.sort_unstable();
     let _ = writeln!(
         out,
@@ -652,10 +637,7 @@ fn render_summary(
         steps.last().copied().unwrap_or(0)
     );
     if include_latency {
-        let mut lat: Vec<u64> = outcomes
-            .iter()
-            .map(|o| o.latency.as_nanos() as u64)
-            .collect();
+        let mut lat: Vec<u64> = events.iter().map(|e| e.wall_ns).collect();
         lat.sort_unstable();
         let _ = writeln!(
             out,
@@ -666,51 +648,34 @@ fn render_summary(
             lat.last().copied().unwrap_or(0)
         );
     }
-    let sampled = outcomes.iter().filter(|o| o.sampled).count();
-    let failed = outcomes.iter().filter(|o| o.error.is_some()).count();
     let _ = writeln!(
         out,
         "sampled {} of {} run(s); {} failed",
-        sampled,
-        outcomes.len(),
-        failed
+        events.iter().filter(|e| e.sampled).count(),
+        events.len(),
+        events.iter().filter(|e| e.failed()).count()
     );
     out
 }
 
-/// Aggregate outcomes per query kind, in first-seen (= roster) order.
-fn build_stats(outcomes: &[&RunOutcome]) -> Vec<(&'static str, QueryStats)> {
-    let mut stats: Vec<(&'static str, QueryStats)> = Vec::new();
-    for o in outcomes {
-        let entry = match stats.iter_mut().find(|(n, _)| *n == o.workload) {
-            Some((_, st)) => st,
-            None => {
-                stats.push((o.workload, QueryStats::default()));
-                &mut stats.last_mut().unwrap().1
-            }
-        };
-        entry.runs += 1;
-        entry.failed += u64::from(o.error.is_some());
-        entry.steps += o.steps;
-        entry.selected += o.selected as u64;
-    }
-    stats
-}
-
-/// Best-effort flush of `summary.txt` and `metrics.prom` from the slots
-/// filled so far. Called under the slots lock the moment a run fails, so a
-/// later hang or kill still leaves telemetry on disk; the normal exit path
-/// overwrites both files with the complete versions.
-fn flush_partial(opts: &Opts, out_dir: &Path, slots: &[RunSlot], state: &PulseState) {
-    let done: Vec<&RunOutcome> = slots.iter().flatten().map(|(o, _, _)| o).collect();
-    let stats = build_stats(&done);
-    let mut summary = render_summary(opts, &done, &stats, false);
+/// Best-effort flush of `summary.txt` and `metrics.prom` from the events
+/// finished so far. Called the moment a run fails, so a later hang or kill
+/// still leaves telemetry on disk; the normal exit path overwrites both
+/// files with the complete versions.
+fn flush_partial(
+    opts: &Opts,
+    out_dir: &Path,
+    done: &[JobEvent],
+    total_jobs: usize,
+    state: &PulseState,
+) {
+    let mut summary = render_summary(opts, done, false);
     use std::fmt::Write;
     let _ = writeln!(
         summary,
         "PARTIAL: {} of {} run(s) flushed after a failure",
         done.len(),
-        slots.len()
+        total_jobs
     );
     for (name, contents) in [
         ("summary.txt", summary),
@@ -720,6 +685,82 @@ fn flush_partial(opts: &Opts, out_dir: &Path, slots: &[RunSlot], state: &PulseSt
             eprintln!("cannot write partial {name}: {e}");
         }
     }
+}
+
+/// The authoritative alert pass: replay the job-ordered events one
+/// logical tick per job. The same events and rules give a byte-identical
+/// `alerts.log` whatever topology ran the batch and however the wall
+/// clock moved; this — not the live scrape loop — names firing alerts and
+/// sets the exit code.
+fn replay_slo(rules: &[AlertRule], events: &[JobEvent]) -> Replay {
+    let mut replay = Replay::new(rules.to_vec(), "qa_fleet");
+    for ev in events {
+        replay.observe_job(ev);
+    }
+    replay
+}
+
+/// `postmortem.txt`: the `incident` (a failed job's flight dump, or the
+/// mesh casualty report), then every SLO alert still firing at batch end.
+/// Empty when nothing went wrong.
+fn render_postmortem(mut incident: String, replay: Option<&Replay>) -> String {
+    let Some(engine) = replay.map(Replay::engine) else {
+        return incident;
+    };
+    let firing = engine.firing();
+    if firing.is_empty() {
+        return incident;
+    }
+    if !incident.is_empty() {
+        incident.push('\n');
+    }
+    incident.push_str("=== slo alerts firing at batch end ===\n");
+    for rule in engine.rules() {
+        if firing.contains(&rule.name.as_str()) {
+            incident.push_str(&rule.render());
+            incident.push('\n');
+        }
+    }
+    incident
+}
+
+/// The exit code of a finished batch: 2 when an artifact could not be
+/// written; 1 when the mesh degraded, any job failed, or an SLO alert is
+/// firing at batch end; else 0.
+fn exit_code(
+    opts: &Opts,
+    io_err: Option<String>,
+    degraded: bool,
+    events: &[JobEvent],
+    replay: Option<&Replay>,
+) -> ExitCode {
+    if let Some(msg) = io_err {
+        eprintln!("{msg}");
+        return ExitCode::from(2);
+    }
+    if degraded {
+        eprintln!("qa-mesh: run degraded (worker death or non-zero worker exit)");
+        return ExitCode::from(1);
+    }
+    let failed = events.iter().filter(|e| e.failed()).count();
+    if failed > 0 {
+        eprintln!(
+            "{failed} run(s) failed; see {}/postmortem.txt",
+            opts.out_dir
+        );
+        return ExitCode::from(1);
+    }
+    let firing = replay.map(|r| r.engine().firing()).unwrap_or_default();
+    if !firing.is_empty() {
+        eprintln!(
+            "slo: {} alert(s) firing at batch end ({}); see {}/postmortem.txt",
+            firing.len(),
+            firing.join(", "),
+            opts.out_dir
+        );
+        return ExitCode::from(1);
+    }
+    ExitCode::SUCCESS
 }
 
 /// Merge every per-workload profiler into one fleet-wide profiler.
@@ -1009,14 +1050,23 @@ fn run_coordinator(opts: &Opts, slo_rules: Option<Vec<AlertRule>>) -> ExitCode {
         .iter()
         .filter_map(|r| r.scrape.as_ref().map(|s| s.flight.clone()))
         .collect();
-    let event_inputs: Vec<(String, String)> = completed
-        .iter()
-        .filter_map(|r| {
-            r.scrape
-                .as_ref()
-                .map(|s| (r.worker_id.clone(), s.events.clone()))
-        })
-        .collect();
+    // The wide-event federation: worker /events tails merge in global job
+    // order (identity fields byte-identical to an in-process run), and
+    // the same events assemble into one Perfetto-loadable fleet timeline
+    // with a named process per worker.
+    let mut events = Vec::new();
+    for r in &completed {
+        if let Some(s) = &r.scrape {
+            match parse_events(&s.events) {
+                Ok(worker_events) => events.extend(worker_events),
+                Err(e) => {
+                    eprintln!("qa-mesh: events from worker {}: {e}", r.worker_id);
+                    return ExitCode::from(2);
+                }
+            }
+        }
+    }
+    let events = federate_events(events);
 
     let summary = render_mesh_summary(opts, &run_id, &plan, &outcome);
     print!("{summary}");
@@ -1034,13 +1084,8 @@ fn run_coordinator(opts: &Opts, slo_rules: Option<Vec<AlertRule>>) -> ExitCode {
     );
     write("profile.folded", &federate_profile(&profile_inputs));
     write("flight.json", &federate_flight(&run_id, &flight_inputs));
-    // The wide-event federation: worker /events tails merge in global job
-    // order (identity fields byte-identical to an in-process run), and
-    // the same scrapes assemble into one Perfetto-loadable fleet
-    // timeline with a named process per worker.
-    let events_jsonl = federate_events(&event_inputs);
-    write("events.jsonl", &events_jsonl);
-    write("fleet-trace.json", &federate_trace(&run_id, &event_inputs));
+    write("events.jsonl", &render_events(&events));
+    write("fleet-trace.json", &federate_trace(&run_id, &events));
     // Scope federation: each completed worker wrote its merged scope.json
     // before announcing `pulse: run complete`; the coordinator merges the
     // files. ScopeProfiler::merge is commutative and associative, so the
@@ -1063,76 +1108,24 @@ fn run_coordinator(opts: &Opts, slo_rules: Option<Vec<AlertRule>>) -> ExitCode {
         }
     }
 
-    // The deterministic alert pass: the federated events.jsonl is in
-    // global job order with identity fields byte-identical to an
-    // in-process run, so replaying it through the same Replay yields the
+    // The federated events are in global job order with identity fields
+    // byte-identical to an in-process run, so the same replay yields the
     // same alerts.log whatever the shard count.
-    let mut firing: Vec<String> = Vec::new();
-    if let Some(rules) = &slo_rules {
-        let events = match parse_events(&events_jsonl) {
-            Ok(ev) => ev,
-            Err(e) => {
-                eprintln!("qa-mesh: slo replay failed: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let mut replay = Replay::new(rules.clone(), "qa_fleet");
-        for ev in &events {
-            replay.observe_job(&JobStats {
-                steps: ev.steps,
-                reversals: ev.reversals,
-                cache_hits: ev.cache_hits,
-                cache_misses: ev.cache_misses,
-                budget_trips: ev.budget_trips,
-            });
-        }
-        firing = replay
-            .engine()
-            .firing()
-            .iter()
-            .map(|n| n.to_string())
-            .collect();
+    let replay = slo_rules.as_deref().map(|rules| replay_slo(rules, &events));
+    if let Some(replay) = &replay {
         write("alerts.log", &replay.engine().render_log());
     }
-
-    let mut postmortem = String::new();
-    if !outcome.casualties().is_empty() {
-        postmortem.push_str(&render_mesh_postmortem(&run_id, &plan, &outcome));
-    }
-    if !firing.is_empty() {
-        if !postmortem.is_empty() {
-            postmortem.push('\n');
-        }
-        postmortem.push_str("=== slo alerts firing at batch end ===\n");
-        for rule in slo_rules.iter().flatten() {
-            if firing.contains(&rule.name) {
-                postmortem.push_str(&rule.render());
-                postmortem.push('\n');
-            }
-        }
-    }
+    let casualties = if outcome.casualties().is_empty() {
+        String::new()
+    } else {
+        render_mesh_postmortem(&run_id, &plan, &outcome)
+    };
+    let postmortem = render_postmortem(casualties, replay.as_ref());
     if !postmortem.is_empty() {
         eprint!("{postmortem}");
         write("postmortem.txt", &postmortem);
     }
-    if let Some(msg) = io_err {
-        eprintln!("{msg}");
-        return ExitCode::from(2);
-    }
-    if outcome.degraded {
-        eprintln!("qa-mesh: run degraded (worker death or non-zero worker exit)");
-        return ExitCode::from(1);
-    }
-    if !firing.is_empty() {
-        eprintln!(
-            "slo: {} alert(s) firing at batch end ({}); see {}/postmortem.txt",
-            firing.len(),
-            firing.join(", "),
-            opts.out_dir
-        );
-        return ExitCode::from(1);
-    }
-    ExitCode::SUCCESS
+    exit_code(opts, io_err, outcome.degraded, &events, replay.as_ref())
 }
 
 fn main() -> ExitCode {
@@ -1170,7 +1163,6 @@ fn main() -> ExitCode {
     }
 
     let roster = roster();
-    let budget = Budget::steps(opts.max_steps).with_wall(opts.max_wall);
     let fleet = Arc::new(Metrics::new());
     // One run id across every mode (see default_run_id): it seeds the
     // deterministic trace/span ids stamped into every wide event.
@@ -1212,9 +1204,10 @@ fn main() -> ExitCode {
             ],
         );
     }
-    // The wide-event ring exists in every mode: the batch pushes each
-    // job's event as it finishes (a live completion-order tail for
-    // /events), and the post-batch pass writes events.jsonl in job order.
+    // The wide-event ring exists in every mode and is sized to the whole
+    // grid, so it holds the batch's only copy of each event: jobs push as
+    // they finish (a live completion-order tail for /events), and the
+    // post-batch pass sorts it into job order.
     let events_ring = SharedEvents::with_capacity((opts.queries * opts.docs).max(1));
     // Per-workload scope profilers, merged in as runs finish. Keyed by
     // workload name so /explain?query=NAME can answer per query; the
@@ -1290,6 +1283,17 @@ fn main() -> ExitCode {
             None => true,
         })
         .collect();
+    // Algorithm R's choice depends only on how many items were offered,
+    // so the traced jobs are drawn before the batch: offer the sampled
+    // jobs' global indices in job order, and only the winners record a
+    // full trace.
+    let mut reservoir = Reservoir::new(opts.seed, opts.reservoir);
+    for &(qi, di, sampled) in &specs {
+        if sampled {
+            reservoir.offer(qi * opts.docs + di);
+        }
+    }
+    let traced = reservoir.into_items();
     let shard_mode = opts.shard.is_some();
     // Volatile event fields: placement facts stamped on every wide event.
     // In-process fleets are "local" worker, shard "0/1".
@@ -1327,11 +1331,10 @@ fn main() -> ExitCode {
         _ => None,
     };
 
-    // Outcomes land in indexed slots, so `--jobs N` yields the same vector
-    // as `--jobs 1`; per-run metrics merge into `fleet` as commutative
-    // counter sums. Slots are indexed by global job id; in shard mode the
-    // other shards' slots simply stay empty.
-    let slots: Mutex<Vec<RunSlot>> = Mutex::new((0..total_jobs).map(|_| None).collect());
+    // Failed jobs' flight dumps and the traced jobs' runs, keyed by global
+    // job index. The dumps lock also serializes the partial flushes.
+    let dumps: Mutex<BTreeMap<usize, String>> = Mutex::new(BTreeMap::new());
+    let traces: Mutex<BTreeMap<usize, RunTrace>> = Mutex::new(BTreeMap::new());
     qa_par::par_batch(opts.jobs, specs, |_worker, (qi, di, sampled)| {
         let global = qi * opts.docs + di;
         if shard_mode {
@@ -1347,16 +1350,34 @@ fn main() -> ExitCode {
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add((qi as u64) << 32 | di as u64);
         let doc = generate_doc(wl.name, doc_size(&opts, di), doc_seed);
-        let doc_depth = doc.depth();
-        let start_ns = fleet_t0.elapsed().as_nanos() as u64;
-        let (outcome, trace, profile, scope_profile) = run_one(
+        // The wide event: identity fields derive only from (run_id, job,
+        // corpus, counters), so they match byte for byte across --jobs N
+        // and --mesh N; placement and wall-clock ride in the volatile tail.
+        let ctx = TraceContext::mint(&run_id, global);
+        let mut event = JobEvent {
+            run: run_id.clone(),
+            trace: ctx.trace_hex(),
+            span: ctx.span_hex(),
+            job: global,
+            query: wl.name.to_string(),
+            query_index: qi,
+            doc_index: di,
+            doc_nodes: doc.len(),
+            doc_depth: doc.depth(),
+            sampled,
+            worker: ev_worker.clone(),
+            shard: ev_shard.clone(),
+            start_ns: fleet_t0.elapsed().as_nanos() as u64,
+            ..JobEvent::default()
+        };
+        let (dump, trace, profile, scope_profile) = run_one(
+            &opts,
             wl,
             &doc,
-            budget,
-            sampled,
-            opts.scope,
+            traced.contains(&global),
             &fleet,
             shared_flight.as_ref(),
+            &mut event,
         );
         state.merge_profile(&profile);
         if let Some(sp) = scope_profile {
@@ -1367,48 +1388,23 @@ fn main() -> ExitCode {
                 .or_default()
                 .merge(&sp);
         }
-        // The wide event: identity fields derive only from (run_id, job,
-        // corpus, counters), so they match byte for byte across --jobs N
-        // and --mesh N; placement and wall-clock ride in the volatile tail.
-        let ctx = TraceContext::mint(&run_id, global);
-        let event = JobEvent {
-            run: run_id.clone(),
-            trace: ctx.trace_hex(),
-            span: ctx.span_hex(),
-            job: global,
-            query: wl.name.to_string(),
-            query_index: qi,
-            doc_index: di,
-            doc_nodes: outcome.doc_nodes,
-            doc_depth,
-            steps: outcome.steps,
-            reversals: outcome.reversals,
-            cache_hits: outcome.cache_hits,
-            cache_misses: outcome.cache_misses,
-            budget_trips: outcome.budget_trips,
-            selected: outcome.selected,
-            sampled,
-            outcome: outcome
-                .error
-                .as_ref()
-                .map(|e| format!("{e}"))
-                .unwrap_or_else(|| "ok".to_string()),
-            worker: ev_worker.clone(),
-            shard: ev_shard.clone(),
-            start_ns,
-            wall_ns: outcome.latency.as_nanos() as u64,
-        };
-        events_ring.push(event.clone());
-        let failed = outcome.error.is_some();
-        {
-            let mut slots = slots.lock().expect("slots lock");
-            slots[global] = Some((outcome, trace, event));
-            if failed {
-                // A budget trip mid-batch must not strand the fleet without
-                // telemetry: flush what finished so far (overwritten with
-                // the complete exports on normal exit).
-                flush_partial(&opts, out_dir, &slots, &state);
-            }
+        if let Some(trace) = trace {
+            traces.lock().expect("traces lock").insert(global, trace);
+        }
+        events_ring.push(event);
+        if let Some(dump) = dump {
+            // A budget trip mid-batch must not strand the fleet without
+            // telemetry: flush what finished so far (overwritten with the
+            // complete exports on normal exit).
+            let mut dumps = dumps.lock().expect("dumps lock");
+            dumps.insert(global, dump);
+            flush_partial(
+                &opts,
+                out_dir,
+                &events_ring.sorted_by_job(),
+                total_jobs,
+                &state,
+            );
         }
         if opts.pace_ms > 0 {
             // The pace window sits between `start` and `done` on purpose:
@@ -1426,69 +1422,22 @@ fn main() -> ExitCode {
         let _ = handle.join();
     }
 
-    // Reservoir offers happen in job order after the batch, so the sampled
-    // trace set is independent of worker interleaving. In shard mode the
-    // slots of other shards are (correctly) empty and skipped.
-    let mut traces: Reservoir<(String, RunTrace)> = Reservoir::new(opts.seed, opts.reservoir);
-    let mut outcomes: Vec<RunOutcome> = Vec::with_capacity(total_jobs);
     // events.jsonl is written in global job order (the ring holds
     // completion order, for the live /events tail only), so the file's
     // identity projection is byte-identical across --jobs settings.
-    let mut events_jsonl = String::new();
-    for (i, slot) in slots
-        .into_inner()
-        .expect("slots lock")
-        .into_iter()
-        .enumerate()
-    {
-        let Some((outcome, trace, event)) = slot else {
-            assert!(shard_mode, "every job ran");
-            continue;
-        };
-        if let Some(trace) = trace {
-            traces.offer((format!("{}-doc{}", outcome.workload, i % opts.docs), trace));
-        }
-        events_jsonl.push_str(&event.to_json());
-        events_jsonl.push('\n');
-        outcomes.push(outcome);
-    }
-
-    // The authoritative alert pass: replay the batch one logical tick per
-    // job, in global job order. Same seed + rules => byte-identical
-    // alerts.log whatever --jobs ran the batch and however the wall clock
-    // moved; this — not the live loop — names firing alerts and sets the
-    // exit code. Runs before metrics.prom renders so the transition count
+    let events = events_ring.sorted_by_job();
+    // The replay runs before metrics.prom renders so the transition count
     // lands in the registry deterministically.
-    let mut firing: Vec<String> = Vec::new();
-    let mut alerts_log: Option<String> = None;
-    if let Some(rules) = &slo_rules {
-        let mut replay = Replay::new(rules.clone(), "qa_fleet");
-        let mut transitions = 0u64;
-        for outcome in &outcomes {
-            transitions += replay
-                .observe_job(&JobStats {
-                    steps: outcome.steps,
-                    reversals: outcome.reversals,
-                    cache_hits: outcome.cache_hits,
-                    cache_misses: outcome.cache_misses,
-                    budget_trips: outcome.budget_trips,
-                })
-                .len() as u64;
-        }
-        fleet.count(Counter::AlertTransitions, transitions);
-        firing = replay
-            .engine()
-            .firing()
-            .iter()
-            .map(|n| n.to_string())
-            .collect();
-        alerts_log = Some(replay.engine().render_log());
+    let replay = slo_rules.as_deref().map(|rules| replay_slo(rules, &events));
+    if let Some(replay) = &replay {
+        fleet.count(
+            Counter::AlertTransitions,
+            replay.engine().log().len() as u64,
+        );
     }
 
-    let refs: Vec<&RunOutcome> = outcomes.iter().collect();
-    let stats = build_stats(&refs);
-    let summary = render_summary(&opts, &refs, &stats, false);
-    print!("{}", render_summary(&opts, &refs, &stats, true));
+    let summary = render_summary(&opts, &events, false);
+    print!("{}", render_summary(&opts, &events, true));
 
     let mut io_err = None;
     let mut write = |name: &str, contents: &str| {
@@ -1502,10 +1451,10 @@ fn main() -> ExitCode {
         "profile.folded",
         &state.profile_collapsed(Weight::WallNanos),
     );
-    write("events.jsonl", &events_jsonl);
+    write("events.jsonl", &render_events(&events));
     write(
         "fleet-trace.json",
-        &qa_mesh::federate_trace(&run_id, &[(ev_worker.clone(), events_jsonl.clone())]),
+        &qa_mesh::federate_trace(&run_id, &events),
     );
     if opts.scope {
         let merged = merged_scope(&scopes.lock().expect("scope lock"));
@@ -1513,36 +1462,33 @@ fn main() -> ExitCode {
             write(name, &contents);
         }
     }
-    for (i, (label, trace)) in traces.items().iter().enumerate() {
-        write(&format!("trace-{i}.json"), &chrome_trace(trace));
+    let traces = traces.into_inner().expect("traces lock");
+    for (i, job) in traced.iter().enumerate() {
+        let label = format!(
+            "{}-doc{}",
+            roster[job / opts.docs % roster.len()].name,
+            job % opts.docs
+        );
+        write(&format!("trace-{i}.json"), &chrome_trace(&traces[job]));
         eprintln!("trace-{i}.json <- full trace of {label}");
     }
-    if let Some(log) = &alerts_log {
-        write("alerts.log", log);
+    if let Some(replay) = &replay {
+        write("alerts.log", &replay.engine().render_log());
     }
     // postmortem.txt collects everything that went wrong: the first failed
     // run's flight dump, then any SLO alerts still firing at batch end.
-    let mut postmortem = String::new();
-    if let Some(first_failed) = outcomes.iter().find(|o| o.error.is_some()) {
-        postmortem.push_str(first_failed.dump.as_deref().unwrap_or("no dump recorded"));
-        eprintln!(
-            "postmortem.txt <- {} on a {}-node document",
-            first_failed.workload, first_failed.doc_nodes
-        );
-    }
-    if !firing.is_empty() {
-        if !postmortem.is_empty() {
-            postmortem.push('\n');
+    let dumps = dumps.into_inner().expect("dumps lock");
+    let first_failed = match events.iter().find(|e| e.failed()) {
+        Some(ev) => {
+            eprintln!(
+                "postmortem.txt <- {} on a {}-node document",
+                ev.query, ev.doc_nodes
+            );
+            dumps[&ev.job].clone()
         }
-        postmortem.push_str("=== slo alerts firing at batch end ===\n");
-        for rule in slo_rules.iter().flatten() {
-            if firing.contains(&rule.name) {
-                postmortem.push_str(&rule.render());
-                postmortem.push('\n');
-            }
-        }
-        eprintln!("postmortem.txt <- {} slo alert(s) firing", firing.len());
-    }
+        None => String::new(),
+    };
+    let postmortem = render_postmortem(first_failed, replay.as_ref());
     if !postmortem.is_empty() {
         write("postmortem.txt", &postmortem);
     }
@@ -1558,27 +1504,5 @@ fn main() -> ExitCode {
         server.shutdown();
     }
 
-    if let Some(msg) = io_err {
-        eprintln!("{msg}");
-        return ExitCode::from(2);
-    }
-
-    let failed = outcomes.iter().filter(|o| o.error.is_some()).count();
-    if failed > 0 {
-        eprintln!(
-            "{failed} run(s) failed; see {}/postmortem.txt",
-            opts.out_dir
-        );
-        return ExitCode::from(1);
-    }
-    if !firing.is_empty() {
-        eprintln!(
-            "slo: {} alert(s) firing at batch end ({}); see {}/postmortem.txt",
-            firing.len(),
-            firing.join(", "),
-            opts.out_dir
-        );
-        return ExitCode::from(1);
-    }
-    ExitCode::SUCCESS
+    exit_code(&opts, io_err, false, &events, replay.as_ref())
 }

@@ -19,9 +19,9 @@
 //! - [`OneInN`] / [`Reservoir`] / [`Sampled`] — deterministic sampling
 //!   (seeded from [`qa_base::rng`], never ambient entropy): full fidelity
 //!   on a reproducible subset of runs, counters-only elsewhere.
-//! - [`JobEvent`] / [`SharedEvents`] — one wide, structured JSONL event
-//!   per job (`events.jsonl`), deterministic up to its volatile tail, plus
-//!   the bounded ring the pulse `/events` endpoint serves from.
+//! - [`SharedEvents`] — the bounded ring of wide [`JobEvent`]s (one per
+//!   job, defined in [`qa_obs::event`] and re-exported here) that the
+//!   pulse `/events` endpoint serves from.
 //! - `qa-fleet` — the batch runner binary: M queries × K generated
 //!   documents under watchdogs, merged metrics, latency/step percentiles,
 //!   Prometheus and Perfetto exports, post-mortem dumps on failure.
@@ -34,7 +34,8 @@ pub mod recorder;
 pub mod sampler;
 pub mod watchdog;
 
-pub use event::{identity_projection, parse_events, JobEvent, SharedEvents, VOLATILE_FIELDS};
+pub use event::SharedEvents;
+pub use qa_obs::event::{identity_projection, parse_events, JobEvent, VOLATILE_FIELDS};
 pub use recorder::{with_postmortem, FlightEvent, FlightRecorder, SharedFlight, DEFAULT_CAPACITY};
 pub use sampler::{OneInN, Reservoir, Sampled};
 pub use watchdog::{Budget, Watchdog, DEFAULT_WALL_POLL};

@@ -176,3 +176,36 @@ fn fleet_trace_covers_every_job_from_every_worker() {
         "in-process timeline names its single process"
     );
 }
+
+/// `--sweep` scales doc `di` to `size × (di + 1)` nodes, so the log spans
+/// six document sizes. Every roster query is a two-pass linear-time
+/// evaluation, so each fitted steps-vs-size exponent lands in the linear
+/// class.
+#[test]
+fn sweep_fleet_growth_fits_are_linear() {
+    let dir = tmp("lens-sweep");
+    let out = qa_fleet(&[
+        "--queries",
+        "4",
+        "--docs",
+        "6",
+        "--size",
+        "32",
+        "--sweep",
+        "--seed",
+        "3",
+        "--out-dir",
+        &dir,
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let events = parse_events(&read(&dir, "events.jsonl")).expect("events parse");
+    let report = qa_probe::analyze::growth(&events);
+    assert_eq!(report.fits.len(), 4, "one fit per query");
+    for fit in &report.fits {
+        assert_eq!(fit.class, "linear", "{fit:?}");
+    }
+}

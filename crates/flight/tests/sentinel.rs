@@ -1,13 +1,18 @@
 //! End-to-end tests of `qa-fleet --slo`: the deterministic alert replay
 //! (exit code, alerts.log, postmortem naming), byte-identity of the alert
-//! artifacts across `--jobs` settings and mesh topologies, and the live
-//! `--scrape-every-ms` loop behind `/series` and `/alerts`.
+//! artifacts across `--jobs` settings, mesh topologies and the offline
+//! replay of `events.jsonl`, and the live `--scrape-every-ms` loop behind
+//! `/series` and `/alerts`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 use std::time::Duration;
+
+use qa_base::rng::{Rng, StdRng};
+use qa_flight::parse_events;
+use qa_sentinel::{parse_rules, Replay};
 
 fn qa_fleet(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_qa-fleet"))
@@ -174,6 +179,31 @@ fn alert_log_is_byte_identical_across_jobs_and_reruns() {
     assert_eq!(log, read(&c, "alerts.log"));
     let post = read(&a, "postmortem.txt");
     assert!(post.contains("error-budget-burn"), "{post}");
+
+    // The offline path `qa-trace analyze slo` takes — parse the fleet's own
+    // events.jsonl, sort by job, replay — reproduces alerts.log byte for
+    // byte, also from a completion-ordered (shuffled) copy of the log.
+    let events = read(&a, "events.jsonl");
+    let mut lines: Vec<&str> = events.lines().collect();
+    let mut rng = StdRng::seed_from_u64(12);
+    for i in (1..lines.len()).rev() {
+        lines.swap(i, rng.gen_range(0..i + 1));
+    }
+    let shuffled = lines.join("\n");
+    assert_ne!(
+        shuffled.trim_end(),
+        events.trim_end(),
+        "the shuffle moved lines"
+    );
+    for jsonl in [events.as_str(), shuffled.as_str()] {
+        let mut events = parse_events(jsonl).expect("events parse");
+        events.sort_by_key(|e| e.job);
+        let mut replay = Replay::new(parse_rules(BURN_RULES).unwrap(), "qa_fleet");
+        for ev in &events {
+            replay.observe_job(ev);
+        }
+        assert_eq!(replay.engine().render_log(), log);
+    }
 }
 
 #[test]

@@ -10,18 +10,19 @@
 //! event is only useful if you know which process it came from) and so are
 //! deterministic per shard count rather than across shard counts.
 //!
-//! [`federate_events`] extends the invariant to wide events: worker
-//! `/events` JSONL tails merge by sorting on the global job index, so the
-//! *deterministic* fields of the federated `events.jsonl` are byte-
-//! identical across shard counts (the volatile placement/wall-clock tail
-//! is exactly what an identity projection strips). [`federate_trace`]
-//! renders the same inputs as one Chrome trace-event timeline: one
-//! process per worker (named by `process_name`/`thread_name` metadata
-//! events), one complete event per job, so a `--mesh 4` run loads in
-//! Perfetto as a single coherent fleet view.
+//! [`federate_events`] extends the invariant to wide events: the workers'
+//! parsed `/events` tails ([`JobEvent`]s) merge by sorting on the global
+//! job index, so the *deterministic* fields of the federated
+//! `events.jsonl` are byte-identical across shard counts (the volatile
+//! placement/wall-clock tail is exactly what an identity projection
+//! strips). [`federate_trace`] renders the same events as one Chrome
+//! trace-event timeline: one process per worker (named by
+//! `process_name`/`thread_name` metadata events), one complete event per
+//! job, so a `--mesh 4` run loads in Perfetto as a single coherent fleet
+//! view.
 
-use qa_obs::json::{self, Value};
-use qa_obs::Metrics;
+use qa_obs::json;
+use qa_obs::{JobEvent, Metrics};
 use qa_pulse::parse_prometheus;
 
 /// Merge worker `/metrics` scrapes into one registry.
@@ -94,105 +95,79 @@ pub fn federate_flight(run_id: &str, worker_dumps: &[String]) -> String {
     out
 }
 
-/// Merge worker `/events` JSONL tails into one `events.jsonl` document:
-/// every line is re-ordered by its global `job` index, so the merged file
-/// reads in job order no matter which worker ran what. Lines without a
-/// numeric `job` field are dropped (they cannot be placed), and if two
-/// workers somehow report the same job the first worker's line wins —
+/// Merge the workers' wide events into one job-ordered list — the
+/// federated `events.jsonl`, whichever worker ran what. If two workers
+/// somehow report the same job the earlier event in `events` wins —
 /// shards partition the grid, so a duplicate is already an anomaly.
-pub fn federate_events(workers: &[(String, String)]) -> String {
-    let mut lines: Vec<(u64, &str)> = Vec::new();
-    for (_worker_id, jsonl) in workers {
-        for line in jsonl.lines().filter(|l| !l.trim().is_empty()) {
-            let Some(job) = json::parse(line)
-                .ok()
-                .and_then(|v| v.get("job").and_then(Value::as_u64))
-            else {
-                continue;
-            };
-            lines.push((job, line));
-        }
-    }
-    lines.sort_by_key(|&(job, _)| job);
-    lines.dedup_by_key(|&mut (job, _)| job);
-    let mut out = String::new();
-    for (_, line) in lines {
-        out.push_str(line);
-        out.push('\n');
-    }
-    out
+pub fn federate_events(mut events: Vec<JobEvent>) -> Vec<JobEvent> {
+    events.sort_by_key(|e| e.job);
+    events.dedup_by_key(|e| e.job);
+    events
 }
 
-/// Assemble worker `/events` JSONL tails into one Chrome trace-event
-/// document — the fleet's single distributed timeline.
+/// Assemble wide events into one Chrome trace-event document — the
+/// fleet's single distributed timeline.
 ///
-/// Each worker becomes one trace *process*: `pid` is its (1-based) index
-/// in `workers`, named by a `process_name` metadata (`"ph":"M"`) event,
-/// with its single job track named by a `thread_name` event — so Perfetto
-/// labels tracks `w0`, `w1`, … instead of showing bare pids. Each job
-/// event becomes one complete (`"ph":"X"`) span on its worker's track,
-/// `ts`/`dur` in microseconds from the worker's `start_ns`/`wall_ns`,
-/// with the job's trace/span ids, step count and outcome riding along in
-/// `args`. Spans are sorted by job within each worker, so the output is
-/// deterministic given the scrapes.
-pub fn federate_trace(run_id: &str, workers: &[(String, String)]) -> String {
-    let mut events: Vec<String> = Vec::new();
-    for (index, (worker_id, jsonl)) in workers.iter().enumerate() {
+/// Each distinct `worker` becomes one trace *process*, numbered (`pid`,
+/// 1-based) in the order of its first job and named by a `process_name`
+/// metadata (`"ph":"M"`) event, with its single job track named by a
+/// `thread_name` event — so Perfetto labels tracks `w0`, `w1`, … instead
+/// of showing bare pids. Each job event becomes one complete (`"ph":"X"`)
+/// span on its worker's track, `ts`/`dur` in microseconds from the
+/// event's `start_ns`/`wall_ns`, with the job's trace/span ids, step
+/// count and outcome riding along in `args`. Spans are sorted by job
+/// within each worker, so the output is deterministic given the events.
+pub fn federate_trace(run_id: &str, events: &[JobEvent]) -> String {
+    let mut by_job: Vec<&JobEvent> = events.iter().collect();
+    by_job.sort_by_key(|e| e.job);
+    let mut workers: Vec<&str> = Vec::new();
+    for e in &by_job {
+        if !workers.contains(&e.worker.as_str()) {
+            workers.push(&e.worker);
+        }
+    }
+    let mut trace_events: Vec<String> = Vec::new();
+    for (index, worker_id) in workers.into_iter().enumerate() {
         let pid = index as u64 + 1;
-        events.push(json::object(|w| {
+        trace_events.push(json::object(|w| {
             w.field_str("name", "process_name");
             w.field_str("ph", "M");
             w.field_u64("pid", pid);
             w.field_raw("args", &json::object(|aw| aw.field_str("name", worker_id)));
         }));
-        events.push(json::object(|w| {
+        trace_events.push(json::object(|w| {
             w.field_str("name", "thread_name");
             w.field_str("ph", "M");
             w.field_u64("pid", pid);
             w.field_u64("tid", 1);
             w.field_raw("args", &json::object(|aw| aw.field_str("name", "jobs")));
         }));
-        let mut spans: Vec<(u64, String)> = Vec::new();
-        for line in jsonl.lines().filter(|l| !l.trim().is_empty()) {
-            let Ok(v) = json::parse(line) else { continue };
-            let Some(job) = v.get("job").and_then(Value::as_u64) else {
-                continue;
-            };
-            let query = v.get("query").and_then(Value::as_str).unwrap_or("job");
-            let start_ns = v.get("start_ns").and_then(Value::as_u64).unwrap_or(0);
-            let wall_ns = v.get("wall_ns").and_then(Value::as_u64).unwrap_or(0);
-            let span = json::object(|w| {
-                w.field_str("name", &format!("{query} #{job}"));
+        let jobs = by_job.iter().filter(|e| e.worker == worker_id);
+        trace_events.extend(jobs.map(|e| {
+            json::object(|w| {
+                w.field_str("name", &format!("{} #{}", e.query, e.job));
                 w.field_str("cat", "job");
                 w.field_str("ph", "X");
-                w.field_u64("ts", start_ns / 1_000);
-                w.field_u64("dur", (wall_ns / 1_000).max(1));
+                w.field_u64("ts", e.start_ns / 1_000);
+                w.field_u64("dur", (e.wall_ns / 1_000).max(1));
                 w.field_u64("pid", pid);
                 w.field_u64("tid", 1);
                 w.field_raw(
                     "args",
                     &json::object(|aw| {
-                        aw.field_u64("job", job);
-                        for key in ["trace", "span", "outcome"] {
-                            if let Some(s) = v.get(key).and_then(Value::as_str) {
-                                aw.field_str(key, s);
-                            }
-                        }
-                        for key in ["steps", "doc_nodes"] {
-                            if let Some(n) = v.get(key).and_then(Value::as_u64) {
-                                aw.field_u64(key, n);
-                            }
-                        }
+                        aw.field_u64("job", e.job as u64);
+                        aw.field_str("trace", &e.trace);
+                        aw.field_str("span", &e.span);
+                        aw.field_str("outcome", &e.outcome);
+                        aw.field_u64("steps", e.steps);
+                        aw.field_u64("doc_nodes", e.doc_nodes as u64);
                     }),
                 );
-            });
-            spans.push((job, span));
-        }
-        spans.sort_by_key(|&(job, _)| job);
-        events.extend(spans.into_iter().map(|(_, s)| s));
+            })
+        }));
     }
     json::object(|w| {
-        w.field_raw("traceEvents", &json::array(events));
+        w.field_raw("traceEvents", &json::array(trace_events));
         w.field_str("displayTimeUnit", "ms");
         w.field_raw(
             "otherData",
@@ -204,6 +179,7 @@ pub fn federate_trace(run_id: &str, workers: &[(String, String)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qa_obs::json::Value;
     use qa_obs::{Counter, Observer, Series};
     use qa_probe::export::prometheus_text;
 
@@ -254,67 +230,44 @@ mod tests {
         assert_eq!(merged, "w0;run;scan 10\nw1;run 5\nw1;run;scan 30\n");
     }
 
-    fn job_line(job: u64, query: &str, worker: &str, start_ns: u64, wall_ns: u64) -> String {
-        format!(
-            "{{\"v\":1,\"run\":\"r\",\"trace\":\"{job:016x}\",\"span\":\"{job:016x}\",\
-             \"job\":{job},\"query\":\"{query}\",\"steps\":{},\"outcome\":\"ok\",\
-             \"worker\":\"{worker}\",\"start_ns\":{start_ns},\"wall_ns\":{wall_ns}}}",
-            job * 10
-        )
+    fn job(job: usize, query: &str, worker: &str, start_ns: u64, wall_ns: u64) -> JobEvent {
+        JobEvent {
+            trace: format!("{job:016x}"),
+            span: format!("{job:016x}"),
+            job,
+            query: query.to_string(),
+            steps: job as u64 * 10,
+            outcome: "ok".to_string(),
+            worker: worker.to_string(),
+            start_ns,
+            wall_ns,
+            ..JobEvent::default()
+        }
     }
 
     #[test]
-    fn event_federation_sorts_by_job_and_drops_unplaceable_lines() {
-        let w0 = format!(
-            "{}\n{}\n",
-            job_line(2, "a", "w0", 0, 9),
-            job_line(0, "a", "w0", 5, 9)
-        );
-        let w1 = format!(
-            "{}\nnot json\n{{\"no\":\"job\"}}\n",
-            job_line(1, "b", "w1", 3, 9)
-        );
-        let merged = federate_events(&[("w0".to_string(), w0), ("w1".to_string(), w1)]);
-        let jobs: Vec<u64> = merged
-            .lines()
-            .map(|l| {
-                json::parse(l)
-                    .unwrap()
-                    .get("job")
-                    .and_then(Value::as_u64)
-                    .unwrap()
-            })
-            .collect();
-        assert_eq!(jobs, vec![0, 1, 2], "{merged}");
-        // Duplicate jobs collapse to the first worker's line.
-        let dup = federate_events(&[
-            (
-                "w0".to_string(),
-                format!("{}\n", job_line(4, "first", "w0", 0, 1)),
-            ),
-            (
-                "w1".to_string(),
-                format!("{}\n", job_line(4, "second", "w1", 0, 1)),
-            ),
+    fn event_federation_sorts_by_job_and_keeps_the_first_duplicate() {
+        let merged = federate_events(vec![
+            job(2, "a", "w0", 0, 9),
+            job(0, "a", "w0", 5, 9),
+            job(1, "b", "w1", 3, 9),
         ]);
-        assert_eq!(dup.lines().count(), 1);
-        assert!(dup.contains("\"first\""), "{dup}");
+        let jobs: Vec<usize> = merged.iter().map(|e| e.job).collect();
+        assert_eq!(jobs, vec![0, 1, 2], "{merged:?}");
+        // Duplicate jobs collapse to the first worker's event.
+        let dup = federate_events(vec![
+            job(4, "first", "w0", 0, 1),
+            job(4, "second", "w1", 0, 1),
+        ]);
+        assert_eq!(dup.len(), 1);
+        assert_eq!(dup[0].query, "first");
     }
 
     #[test]
     fn trace_federation_names_processes_and_covers_every_job() {
         let doc = federate_trace(
             "fleet-s7",
-            &[
-                (
-                    "w0".to_string(),
-                    format!("{}\n", job_line(0, "q", "w0", 2_000, 3_000)),
-                ),
-                (
-                    "w1".to_string(),
-                    format!("{}\n", job_line(1, "q", "w1", 0, 500)),
-                ),
-            ],
+            &[job(1, "q", "w1", 0, 500), job(0, "q", "w0", 2_000, 3_000)],
         );
         let v = json::parse(&doc).expect("valid Chrome trace JSON");
         let events = v.get("traceEvents").and_then(Value::as_arr).unwrap();

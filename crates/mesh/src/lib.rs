@@ -18,8 +18,8 @@
 //! (`qa_pulse::parse_prometheus`) and merging ([`federate_metrics`])
 //! therefore yields output **byte-identical across shard counts** — a
 //! 1-worker and a 4-worker mesh over the same corpus render the same
-//! `metrics.prom`. Wide events extend the invariant per job: worker
-//! `/events` tails merge in global job order ([`federate_events`]), so
+//! `metrics.prom`. Wide events extend the invariant per job: the workers'
+//! parsed `/events` tails merge in global job order ([`federate_events`]), so
 //! the deterministic fields of the federated `events.jsonl` are also
 //! byte-identical across shard counts, and the same inputs assemble into
 //! one Chrome trace-event fleet timeline ([`federate_trace`]) with a

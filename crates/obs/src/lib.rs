@@ -26,10 +26,15 @@
 //!   (state, position, direction) plus phase timings, renderable as text
 //!   for debugging diverging runs ([`RunTrace::render_text`]) or as JSON
 //!   ([`RunTrace::to_json`]).
+//!
+//! [`JobEvent`] is the wide event every ops layer records per (query,
+//! document) job — one `events.jsonl` line — with its one writer and its
+//! one parser ([`parse_events`]).
 
 #![deny(missing_docs)]
 
 pub mod context;
+pub mod event;
 pub mod json;
 pub mod metrics;
 pub mod observer;
@@ -37,6 +42,7 @@ pub mod stats;
 pub mod trace;
 
 pub use context::{fnv1a64, TraceContext};
+pub use event::{identity_projection, parse_events, render_events, JobEvent, VOLATILE_FIELDS};
 pub use metrics::{Histogram, HistogramSnapshot, InfoLabels, Metrics, MetricsObserver};
 pub use observer::{Abort, Counter, Machine, NoopObserver, Observer, Series, Tee};
 pub use stats::{percentile_sorted, quantile_bucket, quantile_from_buckets};

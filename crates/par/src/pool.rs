@@ -13,8 +13,15 @@
 //! signal a serving daemon's admission control needs — when the backlog
 //! exceeds the configured depth, shed the request with `429 Retry-After`
 //! instead of queueing unbounded work behind a latency SLO.
+//!
+//! A panicking job is contained to that job: its worker catches the
+//! unwind and moves on to the next job, so one bad request cannot shrink
+//! the pool until nothing drains the backlog. Whatever the job owned is
+//! dropped during the unwind — a reply channel's sender, say — which is
+//! how its submitter learns the job was lost.
 
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -127,7 +134,9 @@ fn worker_loop(shared: &PoolShared, me: usize) {
         match job {
             Some(job) => {
                 shared.depth.fetch_sub(1, Ordering::AcqRel);
-                job();
+                // The panic already went to the panic hook; the worker
+                // survives for the next job.
+                let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
             }
             None => {
                 if !shared.open.load(Ordering::Acquire) {
@@ -233,6 +242,26 @@ mod tests {
         while pool.queue_depth() > 0 && std::time::Instant::now() < deadline {
             std::thread::yield_now();
         }
+        assert_eq!(pool.queue_depth(), 0);
+    }
+
+    #[test]
+    fn a_panicking_job_does_not_kill_its_worker() {
+        let pool = WorkPool::new(1);
+        let (lost_tx, lost_rx) = mpsc::channel::<()>();
+        assert!(pool.submit(Box::new(move || {
+            let _owned = lost_tx;
+            panic!("job panics on purpose");
+        })));
+        let (tx, rx) = mpsc::channel();
+        assert!(pool.submit(Box::new(move || tx.send(7u64).unwrap())));
+        // The panicked job's sender is dropped unanswered...
+        assert_eq!(
+            lost_rx.recv_timeout(Duration::from_secs(5)),
+            Err(mpsc::RecvTimeoutError::Disconnected)
+        );
+        // ...and the only worker still runs the job queued behind it.
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(7));
         assert_eq!(pool.queue_depth(), 0);
     }
 

@@ -10,108 +10,20 @@
 //! from a `qa-scope` profile (`scope.json`), answering *where inside the
 //! machines* the step mass went.
 //!
-//! The module parses JSONL generically via [`qa_obs::json`], so it works
-//! on any event log with the `events.jsonl` field names — `qa-probe`
-//! deliberately does not depend on the crate that *emits* the events.
-//! Every report renders as fixed-precision text or JSON; both renderings
-//! are deterministic functions of the input log.
+//! Every analysis takes the log as parsed [`JobEvent`]s
+//! ([`qa_obs::parse_events`]), the same record and parser the fleet and
+//! the serving daemon write with. Every report renders as fixed-precision
+//! text or JSON; both renderings are deterministic functions of the input
+//! log.
 //!
 //! [wide event]: https://jeremymorrell.dev/blog/a-practitioners-guide-to-wide-events/
 
-use qa_obs::json::{self, Value};
-use qa_obs::percentile_sorted;
-
-/// One parsed `events.jsonl` row — the analyzer's view of a wide event.
-///
-/// Only the fields the analyses consume; unknown fields are ignored, so
-/// the parser tolerates forward-compatible extensions of the event schema.
-#[derive(Clone, Debug, PartialEq)]
-pub struct EventRow {
-    /// Global job index.
-    pub job: u64,
-    /// Trace id (16 hex digits) — the handle for cross-referencing the
-    /// fleet timeline.
-    pub trace: String,
-    /// Workload (query) name.
-    pub query: String,
-    /// Document size (word length / tree node count).
-    pub doc_nodes: u64,
-    /// Document height.
-    pub doc_depth: u64,
-    /// Engine steps consumed.
-    pub steps: u64,
-    /// Two-way head reversals.
-    pub reversals: u64,
-    /// Behavior-cache hits.
-    pub cache_hits: u64,
-    /// Behavior-cache misses.
-    pub cache_misses: u64,
-    /// Watchdog budget trips.
-    pub budget_trips: u64,
-    /// Selected positions/nodes.
-    pub selected: u64,
-    /// `"ok"` or the error rendering.
-    pub outcome: String,
-    /// Executing worker (volatile field; `local` for in-process runs).
-    pub worker: String,
-    /// Job latency in nanoseconds (volatile field; 0 in identity
-    /// projections).
-    pub wall_ns: u64,
-}
-
-/// Parse a whole `events.jsonl` document into analyzer rows.
-///
-/// Blank lines are skipped; a malformed line fails with its 1-based line
-/// number. Volatile fields may be absent (identity projections parse too).
-pub fn parse_rows(jsonl: &str) -> Result<Vec<EventRow>, String> {
-    let mut rows = Vec::new();
-    for (i, line) in jsonl.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        rows.push(parse_row(&v).map_err(|e| format!("line {}: {e}", i + 1))?);
-    }
-    Ok(rows)
-}
-
-fn parse_row(v: &Value) -> Result<EventRow, String> {
-    let str_field = |key: &str| -> Result<String, String> {
-        v.get(key)
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("event missing string field `{key}`"))
-    };
-    let u64_field = |key: &str| -> Result<u64, String> {
-        v.get(key)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("event missing integer field `{key}`"))
-    };
-    Ok(EventRow {
-        job: u64_field("job")?,
-        trace: str_field("trace")?,
-        query: str_field("query")?,
-        doc_nodes: u64_field("doc_nodes")?,
-        doc_depth: u64_field("doc_depth")?,
-        steps: u64_field("steps")?,
-        reversals: u64_field("reversals")?,
-        cache_hits: u64_field("cache_hits")?,
-        cache_misses: u64_field("cache_misses")?,
-        budget_trips: u64_field("budget_trips")?,
-        selected: u64_field("selected")?,
-        outcome: str_field("outcome")?,
-        worker: v
-            .get("worker")
-            .and_then(Value::as_str)
-            .unwrap_or("local")
-            .to_string(),
-        wall_ns: v.get("wall_ns").and_then(Value::as_u64).unwrap_or(0),
-    })
-}
+use qa_obs::json;
+use qa_obs::{percentile_sorted, JobEvent};
 
 /// First-seen order of query names — reports group per query in the
 /// stable order the log introduces them (= roster order for fleet logs).
-fn query_order(rows: &[EventRow]) -> Vec<String> {
+fn query_order(rows: &[JobEvent]) -> Vec<String> {
     let mut order: Vec<String> = Vec::new();
     for r in rows {
         if !order.contains(&r.query) {
@@ -156,18 +68,18 @@ pub struct TopReport {
 }
 
 /// Rank the `k` heaviest jobs by steps — the fleet's heavy hitters.
-pub fn top(rows: &[EventRow], k: usize) -> TopReport {
+pub fn top(rows: &[JobEvent], k: usize) -> TopReport {
     let total_steps: u64 = rows.iter().map(|r| r.steps).sum();
-    let mut ranked: Vec<&EventRow> = rows.iter().collect();
+    let mut ranked: Vec<&JobEvent> = rows.iter().collect();
     ranked.sort_by_key(|r| (std::cmp::Reverse(r.steps), r.job));
     let entries = ranked
         .into_iter()
         .take(k)
         .map(|r| TopEntry {
-            job: r.job,
+            job: r.job as u64,
             trace: r.trace.clone(),
             query: r.query.clone(),
-            doc_nodes: r.doc_nodes,
+            doc_nodes: r.doc_nodes as u64,
             steps: r.steps,
             wall_ns: r.wall_ns,
             share: if total_steps == 0 {
@@ -294,10 +206,10 @@ pub struct SlowReport {
 /// p99 step count (at most `k` per query, heaviest first). A fleet where
 /// every run costs the same produces no interesting outliers — `vs_median`
 /// near 1 says so; a heavy tail shows up as `vs_median >> 1`.
-pub fn slow(rows: &[EventRow], k: usize) -> SlowReport {
+pub fn slow(rows: &[JobEvent], k: usize) -> SlowReport {
     let mut queries = Vec::new();
     for q in query_order(rows) {
-        let runs: Vec<&EventRow> = rows.iter().filter(|r| r.query == q).collect();
+        let runs: Vec<&JobEvent> = rows.iter().filter(|r| r.query == q).collect();
         let mut steps: Vec<u64> = runs.iter().map(|r| r.steps).collect();
         steps.sort_unstable();
         let (p50, p90, p99) = (
@@ -306,15 +218,15 @@ pub fn slow(rows: &[EventRow], k: usize) -> SlowReport {
             percentile_sorted(&steps, 0.99),
         );
         let max = steps.last().copied().unwrap_or(0);
-        let mut outliers: Vec<&&EventRow> = runs.iter().filter(|r| r.steps >= p99).collect();
+        let mut outliers: Vec<&&JobEvent> = runs.iter().filter(|r| r.steps >= p99).collect();
         outliers.sort_by_key(|r| (std::cmp::Reverse(r.steps), r.job));
         let outliers = outliers
             .into_iter()
             .take(k)
             .map(|r| SlowEntry {
-                job: r.job,
+                job: r.job as u64,
                 trace: r.trace.clone(),
-                doc_nodes: r.doc_nodes,
+                doc_nodes: r.doc_nodes as u64,
                 steps: r.steps,
                 vs_median: if p50 == 0 {
                     0.0
@@ -602,16 +514,16 @@ fn growth_class(b: f64) -> String {
 /// Jobs with `steps = 0` or `doc_nodes = 0` are skipped (logs of zero);
 /// a query needs at least two distinct document sizes to fit — run
 /// `qa-fleet --sweep` to produce such a log.
-pub fn growth(rows: &[EventRow]) -> GrowthReport {
+pub fn growth(rows: &[JobEvent]) -> GrowthReport {
     let mut fits = Vec::new();
     for q in query_order(rows) {
-        let runs: Vec<&EventRow> = rows.iter().filter(|r| r.query == q).collect();
+        let runs: Vec<&JobEvent> = rows.iter().filter(|r| r.query == q).collect();
         let pts: Vec<(f64, f64)> = runs
             .iter()
             .filter(|r| r.doc_nodes > 0 && r.steps > 0)
             .map(|r| ((r.doc_nodes as f64).ln(), (r.steps as f64).ln()))
             .collect();
-        let mut sizes: Vec<u64> = runs.iter().map(|r| r.doc_nodes).collect();
+        let mut sizes: Vec<usize> = runs.iter().map(|r| r.doc_nodes).collect();
         sizes.sort_unstable();
         sizes.dedup();
         let fit = if sizes.len() >= 2 && pts.len() >= 2 {
@@ -727,65 +639,28 @@ impl GrowthReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qa_obs::json::Value;
 
-    fn row(job: u64, query: &str, nodes: u64, steps: u64) -> String {
-        json::object(|w| {
-            w.field_u64("v", 1);
-            w.field_str("run", "r");
-            w.field_str("trace", &format!("{:016x}", job + 1));
-            w.field_str("span", "00000000000000aa");
-            w.field_u64("job", job);
-            w.field_str("query", query);
-            w.field_u64("query_index", 0);
-            w.field_u64("doc_index", job);
-            w.field_u64("doc_nodes", nodes);
-            w.field_u64("doc_depth", 3);
-            w.field_u64("steps", steps);
-            w.field_u64("reversals", 1);
-            w.field_u64("cache_hits", 0);
-            w.field_u64("cache_misses", 0);
-            w.field_u64("budget_trips", 0);
-            w.field_u64("selected", 2);
-            w.field_bool("sampled", false);
-            w.field_str("outcome", "ok");
-            w.field_str("worker", "w0");
-            w.field_str("shard", "0/2");
-            w.field_u64("start_ns", 5);
-            w.field_u64("wall_ns", 100 + job);
-        })
-    }
-
-    fn log(rows: &[String]) -> String {
-        let mut s = rows.join("\n");
-        s.push('\n');
-        s
-    }
-
-    #[test]
-    fn parses_rows_and_tolerates_missing_volatile_fields() {
-        let rows = parse_rows(&log(&[row(0, "q", 10, 50)])).unwrap();
-        assert_eq!(rows[0].job, 0);
-        assert_eq!(rows[0].wall_ns, 100);
-        // identity projection: no worker/wall_ns
-        let stripped = row(1, "q", 10, 50)
-            .replace(",\"worker\":\"w0\"", "")
-            .replace(",\"wall_ns\":101", "");
-        let rows = parse_rows(&format!("{stripped}\n")).unwrap();
-        assert_eq!(rows[0].worker, "local");
-        assert_eq!(rows[0].wall_ns, 0);
-        // line numbers in errors
-        let err = parse_rows("{\"v\":1}\n").unwrap_err();
-        assert!(err.starts_with("line 1:"), "{err}");
+    fn row(job: usize, query: &str, nodes: usize, steps: u64) -> JobEvent {
+        JobEvent {
+            trace: format!("{:016x}", job + 1),
+            job,
+            query: query.to_string(),
+            doc_nodes: nodes,
+            steps,
+            outcome: "ok".to_string(),
+            wall_ns: 100 + job as u64,
+            ..JobEvent::default()
+        }
     }
 
     #[test]
     fn top_ranks_by_steps_with_share() {
-        let rows = parse_rows(&log(&[
+        let rows = [
             row(0, "a", 10, 100),
             row(1, "b", 10, 700),
             row(2, "a", 10, 200),
-        ]))
-        .unwrap();
+        ];
         let t = top(&rows, 2);
         assert_eq!(t.total_steps, 1000);
         assert_eq!(t.entries.len(), 2);
@@ -800,10 +675,9 @@ mod tests {
 
     #[test]
     fn slow_finds_per_query_outliers() {
-        let mut lines: Vec<String> = (0..10).map(|j| row(j, "a", 10, 100)).collect();
-        lines.push(row(10, "a", 10, 1000)); // the heavy tail
-        lines.push(row(11, "b", 10, 5));
-        let rows = parse_rows(&log(&lines)).unwrap();
+        let mut rows: Vec<JobEvent> = (0..10).map(|j| row(j, "a", 10, 100)).collect();
+        rows.push(row(10, "a", 10, 1000)); // the heavy tail
+        rows.push(row(11, "b", 10, 5));
         let s = slow(&rows, 3);
         assert_eq!(s.queries.len(), 2);
         let a = &s.queries[0];
@@ -820,16 +694,10 @@ mod tests {
     #[test]
     fn growth_fits_exact_power_laws() {
         // steps = 3·n² exactly: exponent 2, r² 1.
-        let quad: Vec<String> = (1..=5u64)
-            .map(|i| row(i, "quad", 10 * i, 3 * (10 * i) * (10 * i)))
-            .collect();
+        let quad = (1..=5usize).map(|i| row(i, "quad", 10 * i, 3 * (10 * i as u64).pow(2)));
         // steps = 7·n exactly: exponent 1.
-        let lin: Vec<String> = (1..=5u64)
-            .map(|i| row(10 + i, "lin", 10 * i, 7 * 10 * i))
-            .collect();
-        let mut lines = quad;
-        lines.extend(lin);
-        let rows = parse_rows(&log(&lines)).unwrap();
+        let lin = (1..=5usize).map(|i| row(10 + i, "lin", 10 * i, 7 * 10 * i as u64));
+        let rows: Vec<JobEvent> = quad.chain(lin).collect();
         let g = growth(&rows);
         assert_eq!(g.fits.len(), 2);
         let q = &g.fits[0];
@@ -844,7 +712,7 @@ mod tests {
 
     #[test]
     fn growth_reports_unfittable_single_size_logs() {
-        let rows = parse_rows(&log(&[row(0, "a", 10, 50), row(1, "a", 10, 60)])).unwrap();
+        let rows = [row(0, "a", 10, 50), row(1, "a", 10, 60)];
         let g = growth(&rows);
         assert_eq!(g.fits[0].exponent, None);
         assert!(g.fits[0].class.contains("--sweep"), "{}", g.fits[0].class);

@@ -436,7 +436,7 @@ fn cmd_analyze(mut args: Vec<String>) -> Result<ExitCode, String> {
         None => {}
     }
     let jsonl = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut rows = qa_probe::analyze::parse_rows(&jsonl).map_err(|e| format!("{path}: {e}"))?;
+    let mut rows = qa_obs::parse_events(&jsonl).map_err(|e| format!("{path}: {e}"))?;
     let mut slo_firing = false;
     let content = match report {
         "top" => {
@@ -475,13 +475,7 @@ fn cmd_analyze(mut args: Vec<String>) -> Result<ExitCode, String> {
             rows.sort_by_key(|r| r.job);
             let mut replay = qa_sentinel::Replay::new(rules, "qa_fleet");
             for r in &rows {
-                replay.observe_job(&qa_sentinel::JobStats {
-                    steps: r.steps,
-                    reversals: r.reversals,
-                    cache_hits: r.cache_hits,
-                    cache_misses: r.cache_misses,
-                    budget_trips: r.budget_trips,
-                });
+                replay.observe_job(r);
             }
             let firing = replay.engine().firing();
             slo_firing = !firing.is_empty();

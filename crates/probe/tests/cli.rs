@@ -4,6 +4,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use qa_obs::{render_events, JobEvent};
+
 fn qa_trace(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_qa-trace"))
         .args(args)
@@ -128,43 +130,52 @@ fn chrome_export_names_process_and_threads() {
     assert!(metas.contains(&"thread_name"), "{metas:?}");
 }
 
+#[test]
+fn explain_renders_explain_analyze_and_ranks_its_hot_states() {
+    let scope = tmp("explain-3-4.scope.json");
+    let out = qa_trace(&["explain", "example-3-4", "0110", "--scope-out", &scope]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("EXPLAIN ANALYZE"), "{text}");
+    assert!(text.contains("machine twodfa"), "{text}");
+
+    let top = qa_trace(&["analyze", "top", &scope, "--by", "state", "--k", "5"]);
+    assert!(
+        top.status.success(),
+        "{}",
+        String::from_utf8_lossy(&top.stderr)
+    );
+    let text = String::from_utf8_lossy(&top.stdout);
+    assert!(text.contains("state(s) across 1 machine(s)"), "{text}");
+    assert!(text.lines().nth(2).unwrap().starts_with("twodfa"), "{text}");
+}
+
 /// A synthetic ten-job wide-event log: two queries, one with perfectly
 /// quadratic growth (steps = 2·n²) and one constant.
 fn write_events_log() -> String {
     let path = tmp("events.jsonl");
-    let mut log = String::new();
-    for i in 1u64..=5 {
-        let n = 10 * i;
-        log.push_str(&format!(
-            "{{\"v\":1,\"run\":\"r\",\"trace\":\"{:016x}\",\"span\":\"{:016x}\",\
-             \"job\":{},\"query\":\"quad\",\"query_index\":0,\"doc_index\":{},\
-             \"doc_nodes\":{n},\"doc_depth\":3,\"steps\":{},\"reversals\":0,\
-             \"cache_hits\":0,\"cache_misses\":0,\"budget_trips\":0,\
-             \"selected\":1,\"sampled\":false,\"outcome\":\"ok\",\
-             \"worker\":\"local\",\"shard\":\"0/1\",\"start_ns\":1,\"wall_ns\":9}}\n",
-            i,
-            i + 100,
-            i - 1,
-            i - 1,
-            2 * n * n
-        ));
-    }
-    for i in 6u64..=10 {
-        log.push_str(&format!(
-            "{{\"v\":1,\"run\":\"r\",\"trace\":\"{:016x}\",\"span\":\"{:016x}\",\
-             \"job\":{},\"query\":\"flat\",\"query_index\":1,\"doc_index\":{},\
-             \"doc_nodes\":{},\"doc_depth\":1,\"steps\":7,\"reversals\":0,\
-             \"cache_hits\":0,\"cache_misses\":0,\"budget_trips\":0,\
-             \"selected\":0,\"sampled\":false,\"outcome\":\"ok\",\
-             \"worker\":\"local\",\"shard\":\"0/1\",\"start_ns\":1,\"wall_ns\":9}}\n",
-            i,
-            i + 100,
-            i - 1,
-            i - 6,
-            10 * (i - 5)
-        ));
-    }
-    std::fs::write(&path, log).expect("write events log");
+    let event = |job: usize, query: &str, nodes: usize, steps: u64| JobEvent {
+        run: "r".to_string(),
+        trace: format!("{:016x}", job + 1),
+        span: format!("{:016x}", job + 101),
+        job,
+        query: query.to_string(),
+        doc_nodes: nodes,
+        steps,
+        outcome: "ok".to_string(),
+        worker: "local".to_string(),
+        shard: "0/1".to_string(),
+        ..JobEvent::default()
+    };
+    let events: Vec<JobEvent> = (1..=5)
+        .map(|i| event(i - 1, "quad", 10 * i, 2 * (10 * i as u64).pow(2)))
+        .chain((6..=10).map(|i| event(i - 1, "flat", 10 * (i - 5), 7)))
+        .collect();
+    std::fs::write(&path, render_events(&events)).expect("write events log");
     path
 }
 

@@ -47,7 +47,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use qa_obs::Metrics;
 
 pub use engine::{AlertEngine, AlertState, Transition};
-pub use replay::{JobStats, Replay};
+pub use replay::Replay;
 pub use rules::{parse_rules, AlertRule, Cmp, RuleKind};
 pub use store::{Labels, SeriesKey, SeriesStore};
 

@@ -11,33 +11,15 @@
 
 use std::collections::BTreeMap;
 
+use qa_obs::JobEvent;
+
 use crate::engine::{AlertEngine, Transition};
 use crate::rules::AlertRule;
 use crate::store::{SeriesKey, SeriesStore};
 
-/// Per-job counters, as carried by one `events.jsonl` line.
-///
-/// Both replay call sites — the fleet binary (from its in-memory outcomes)
-/// and `qa-trace analyze slo` (from a parsed events file) — build this
-/// struct, so the mapping from job facts to series increments lives in
-/// exactly one place.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct JobStats {
-    /// Engine steps the job consumed.
-    pub steps: u64,
-    /// Two-way head reversals.
-    pub reversals: u64,
-    /// Behavior-cache hits.
-    pub cache_hits: u64,
-    /// Behavior-cache misses.
-    pub cache_misses: u64,
-    /// Watchdog budget trips (0 on a clean run).
-    pub budget_trips: u64,
-}
-
 /// One replayed counter family: exposition-name suffix plus the
-/// [`JobStats`] field it accumulates.
-type Family = (&'static str, fn(&JobStats) -> u64);
+/// [`JobEvent`] field it accumulates.
+type Family = (&'static str, fn(&JobEvent) -> u64);
 
 /// The counter families a replay maintains, as `(suffix, extractor)`.
 /// Family names match the live exposition (`<prefix>_<suffix>`), so one
@@ -84,14 +66,14 @@ impl Replay {
 
     /// Account one completed job (tick `n` for the `n`-th call) and
     /// evaluate every rule. Returns the transitions taken this tick.
-    pub fn observe_job(&mut self, stats: &JobStats) -> Vec<Transition> {
+    pub fn observe_job(&mut self, event: &JobEvent) -> Vec<Transition> {
         self.tick += 1;
         // Accumulate, then append every family so absence rules see a
         // fresh sample per tick.
         for (suffix, extract) in FAMILIES {
             let name = format!("{}_{suffix}", self.prefix);
             let total = self.totals.get_mut(&name).expect("family initialized");
-            *total += extract(stats);
+            *total += extract(event);
             let v = *total as f64;
             self.store.append(SeriesKey::new(&name, []), self.tick, v);
         }
@@ -119,18 +101,19 @@ mod tests {
     use super::*;
     use crate::rules::parse_rules;
 
-    fn clean_job() -> JobStats {
-        JobStats {
+    fn clean_job() -> JobEvent {
+        JobEvent {
             steps: 100,
             reversals: 3,
             cache_hits: 5,
             cache_misses: 2,
             budget_trips: 0,
+            ..JobEvent::default()
         }
     }
 
-    fn tripped_job() -> JobStats {
-        JobStats {
+    fn tripped_job() -> JobEvent {
+        JobEvent {
             budget_trips: 1,
             ..clean_job()
         }
@@ -177,7 +160,7 @@ mod tests {
 
     #[test]
     fn replay_is_deterministic_per_stream() {
-        let stream: Vec<JobStats> = (0..50)
+        let stream: Vec<JobEvent> = (0..50)
             .map(|i| {
                 if i % 7 == 0 {
                     tripped_job()
