@@ -11,6 +11,16 @@ pub trait Id: Copy {
     fn index(self) -> usize;
 }
 
+/// Plain positions, for code generic over ids and raw indices.
+impl Id for usize {
+    fn from_index(index: usize) -> Self {
+        index
+    }
+    fn index(self) -> usize {
+        self
+    }
+}
+
 impl Id for crate::Symbol {
     fn from_index(index: usize) -> Self {
         crate::Symbol::from_index(index)

@@ -5,6 +5,6 @@ pub mod ops;
 pub mod query;
 pub mod twoway;
 
-pub use dbta::{Dbta, Nbta};
+pub use dbta::{Dbta, Nbta, Tuples};
 pub use query::RankedQa;
 pub use twoway::{RankedRunRecord, TwoWayRanked, TwoWayRankedBuilder};

@@ -1,19 +1,18 @@
 //! Boolean operations, determinization and emptiness for ranked tree
 //! automata — the closure properties behind Theorem 2.8.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use qa_base::Symbol;
 use qa_strings::StateId;
 
-use super::{Dbta, Nbta};
+use super::{Dbta, Nbta, Tuples};
 
 /// Subset-construction determinization of an NBTAʳ.
 ///
 /// Only reachable subsets are built; the result is total over tuples of
 /// reachable subsets (the empty subset acts as the dead state).
 pub fn determinize(n: &Nbta) -> Dbta {
-    // Group transitions by (arity, label) for tuple evaluation.
     let mut d = Dbta::new(n.alphabet_len(), n.max_rank());
     let mut index: HashMap<Vec<StateId>, StateId> = HashMap::new();
     let mut subsets: Vec<Vec<StateId>> = Vec::new();
@@ -36,88 +35,49 @@ pub fn determinize(n: &Nbta) -> Dbta {
     };
 
     // Leaf subsets first.
-    let mut queue: VecDeque<StateId> = VecDeque::new();
     for a in 0..n.alphabet_len() {
         let label = Symbol::from_index(a);
         let mut set: Vec<StateId> = n.targets(&[], label).to_vec();
         set.sort_unstable();
         let id = intern(&mut d, &mut subsets, &mut index, set);
         d.set_leaf(label, id);
-        if !queue.contains(&id) {
-            queue.push_back(id);
-        }
     }
 
     // Saturate: for every arity/tuple over known subsets, compute the image.
-    // Iterate to a fixpoint because new subsets enable new tuples.
-    let mut processed_tuples: std::collections::HashSet<(Vec<StateId>, Symbol)> =
-        std::collections::HashSet::new();
+    // Iterate to a fixpoint because new subsets enable new tuples; a
+    // defined slot is a tuple an earlier round already processed.
+    let mut children: Vec<StateId> = Vec::new();
     loop {
         let num_known = subsets.len();
-        let mut added = false;
-        // enumerate tuples of known subset-ids for each arity 1..=max_rank
         for arity in 1..=n.max_rank() {
-            let mut tuple = vec![0usize; arity];
-            'tuples: loop {
-                let ids: Vec<StateId> = tuple.iter().map(|&i| StateId::from_index(i)).collect();
+            let mut tuples = Tuples::<StateId>::new(arity, num_known);
+            while let Some(ids) = tuples.next_tuple() {
                 for a in 0..n.alphabet_len() {
                     let label = Symbol::from_index(a);
-                    if processed_tuples.contains(&(ids.clone(), label)) {
+                    if d.transition(ids, label).is_some() {
                         continue;
                     }
                     // image subset: union over member tuples
                     let mut img: Vec<StateId> = Vec::new();
-                    let member_sets: Vec<&Vec<StateId>> =
-                        ids.iter().map(|&i| &subsets[i.index()]).collect();
-                    let mut mt = vec![0usize; arity];
-                    if member_sets.iter().all(|s| !s.is_empty()) {
-                        'members: loop {
-                            let children: Vec<StateId> =
-                                member_sets.iter().zip(&mt).map(|(s, &i)| s[i]).collect();
-                            for &q in n.targets(&children, label) {
-                                if !img.contains(&q) {
-                                    img.push(q);
-                                }
-                            }
-                            let mut k = 0;
-                            loop {
-                                if k == arity {
-                                    break 'members;
-                                }
-                                mt[k] += 1;
-                                if mt[k] < member_sets[k].len() {
-                                    break;
-                                }
-                                mt[k] = 0;
-                                k += 1;
+                    let mut members = Tuples::<usize>::mixed(
+                        ids.iter().map(|i| subsets[i.index()].len()).collect(),
+                    );
+                    while let Some(pick) = members.next_tuple() {
+                        children.clear();
+                        children.extend(ids.iter().zip(pick).map(|(i, &p)| subsets[i.index()][p]));
+                        for &q in n.targets(&children, label) {
+                            if !img.contains(&q) {
+                                img.push(q);
                             }
                         }
                     }
                     img.sort_unstable();
-                    let before = subsets.len();
                     let target = intern(&mut d, &mut subsets, &mut index, img);
-                    if subsets.len() > before {
-                        added = true;
-                    }
-                    d.set_transition(&ids, label, target);
-                    processed_tuples.insert((ids.clone(), label));
-                }
-                // next tuple over 0..num_known
-                let mut k = 0;
-                loop {
-                    if k == arity {
-                        break 'tuples;
-                    }
-                    tuple[k] += 1;
-                    if tuple[k] < num_known {
-                        break;
-                    }
-                    tuple[k] = 0;
-                    k += 1;
+                    d.set_transition(ids, label, target);
                 }
             }
         }
-        if !added && subsets.len() == num_known {
+        if subsets.len() == num_known {
             break;
         }
     }
@@ -129,32 +89,13 @@ pub fn determinize(n: &Nbta) -> Dbta {
 pub fn totalize(d: &Dbta) -> Dbta {
     let mut out = d.clone();
     let dead = out.add_state();
-    let n = out.num_states();
-    for a in 0..out.alphabet_len() {
-        let label = Symbol::from_index(a);
-        for arity in 0..=out.max_rank() {
-            let mut tuple = vec![0usize; arity];
-            loop {
-                let ids: Vec<StateId> = tuple.iter().map(|&i| StateId::from_index(i)).collect();
-                if out.transition(&ids, label).is_none() {
-                    out.set_transition(&ids, label, dead);
-                }
-                let mut k = 0;
-                let mut done = false;
-                loop {
-                    if k == arity {
-                        done = true;
-                        break;
-                    }
-                    tuple[k] += 1;
-                    if tuple[k] < n {
-                        break;
-                    }
-                    tuple[k] = 0;
-                    k += 1;
-                }
-                if done {
-                    break;
+    for arity in 0..=out.max_rank() {
+        let mut tuples = Tuples::<StateId>::new(arity, out.num_states());
+        while let Some(ids) = tuples.next_tuple() {
+            for a in 0..out.alphabet_len() {
+                let label = Symbol::from_index(a);
+                if out.transition(ids, label).is_none() {
+                    out.set_transition(ids, label, dead);
                 }
             }
         }
@@ -208,36 +149,24 @@ pub fn product(a: &Dbta, b: &Dbta, combine: impl Fn(bool, bool) -> bool) -> Dbta
             out.set_leaf(label, id);
         }
     }
+    let (mut left, mut right) = (Vec::new(), Vec::new());
     loop {
         let known = pairs.len();
         for arity in 1..=rank {
-            let mut tuple = vec![0usize; arity];
-            'tuples: loop {
-                if tuple.iter().any(|&i| i >= pairs.len()) {
-                    break 'tuples;
-                }
-                let chosen: Vec<(StateId, StateId)> = tuple.iter().map(|&i| pairs[i]).collect();
-                let ids: Vec<StateId> = tuple.iter().map(|&i| StateId::from_index(i)).collect();
+            let mut tuples = Tuples::<StateId>::new(arity, known);
+            while let Some(ids) = tuples.next_tuple() {
+                left.clear();
+                left.extend(ids.iter().map(|i| pairs[i.index()].0));
+                right.clear();
+                right.extend(ids.iter().map(|i| pairs[i.index()].1));
                 for s_idx in 0..out.alphabet_len() {
                     let label = Symbol::from_index(s_idx);
-                    let qa = at.transition(&chosen.iter().map(|p| p.0).collect::<Vec<_>>(), label);
-                    let qb = bt.transition(&chosen.iter().map(|p| p.1).collect::<Vec<_>>(), label);
+                    let qa = at.transition(&left, label);
+                    let qb = bt.transition(&right, label);
                     if let (Some(qa), Some(qb)) = (qa, qb) {
                         let id = intern(&mut out, &mut pairs, &mut index, (qa, qb));
-                        out.set_transition(&ids, label, id);
+                        out.set_transition(ids, label, id);
                     }
-                }
-                let mut k = 0;
-                loop {
-                    if k == arity {
-                        break 'tuples;
-                    }
-                    tuple[k] += 1;
-                    if tuple[k] < known {
-                        break;
-                    }
-                    tuple[k] = 0;
-                    k += 1;
                 }
             }
         }
@@ -531,6 +460,7 @@ pub fn minimize(d: &Dbta) -> Dbta {
         // sound before the partition is a congruence.
         let mut sig_index: HashMap<(usize, Vec<usize>), usize> = HashMap::new();
         let mut new_class = vec![0usize; n];
+        let mut children: Vec<StateId> = Vec::new();
         for s_idx in 0..n {
             let s = StateId::from_index(s_idx);
             let mut sig: Vec<usize> = Vec::new();
@@ -538,41 +468,17 @@ pub fn minimize(d: &Dbta) -> Dbta {
                 let label = Symbol::from_index(a);
                 for arity in 1..=t.max_rank() {
                     for pos in 0..arity {
-                        let others = arity - 1;
-                        let mut tuple = vec![0usize; others];
-                        loop {
-                            let mut children: Vec<StateId> = Vec::with_capacity(arity);
-                            let mut oi = 0;
-                            for p in 0..arity {
-                                if p == pos {
-                                    children.push(s);
-                                } else {
-                                    children.push(StateId::from_index(tuple[oi]));
-                                    oi += 1;
-                                }
-                            }
+                        let mut others = Tuples::<StateId>::new(arity - 1, n);
+                        while let Some(o) = others.next_tuple() {
+                            children.clear();
+                            children.extend_from_slice(&o[..pos]);
+                            children.push(s);
+                            children.extend_from_slice(&o[pos..]);
                             let tclass = t
                                 .transition(&children, label)
                                 .map(|q| class[q.index()])
                                 .unwrap_or(usize::MAX);
                             sig.push(tclass);
-                            // next tuple over concrete states
-                            let mut k = 0;
-                            let mut done = others == 0;
-                            while k < others {
-                                tuple[k] += 1;
-                                if tuple[k] < n {
-                                    break;
-                                }
-                                tuple[k] = 0;
-                                k += 1;
-                                if k == others {
-                                    done = true;
-                                }
-                            }
-                            if done {
-                                break;
-                            }
                         }
                     }
                 }

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 use qa_base::{Error, Result, Symbol};
 use qa_core::ranked::twoway::Polarity;
-use qa_core::ranked::RankedQa;
+use qa_core::ranked::{RankedQa, Tuples};
 use qa_obs::{Counter, Machine, NoopObserver, Observer, Series};
 use qa_strings::StateId;
 use qa_trees::{NodeId, Tree};
@@ -485,11 +485,8 @@ fn explore<O: Observer>(
         }
         let mut added = false;
         for arity in 1..=rank {
-            let mut tuple = vec![0usize; arity];
-            'tuples: loop {
-                if tuple.iter().any(|&i| i >= known) {
-                    break 'tuples;
-                }
+            let mut tuples = Tuples::<usize>::new(arity, known);
+            while let Some(tuple) = tuples.next_tuple() {
                 let fresh = tuple.iter().any(|&i| i >= old_count);
                 let marks_below = tuple.iter().filter(|&&i| items[i].key.has_mark).count();
                 if fresh && marks_below <= 1 {
@@ -523,7 +520,7 @@ fn explore<O: Observer>(
                             }
                             let it = Item {
                                 key,
-                                children_idx: tuple.clone(),
+                                children_idx: tuple.to_vec(),
                             };
                             let hit = stop_when.is_some_and(|p| p(&it));
                             if push(&mut items, &mut item_cids, &mut seen, obs, it, cid) {
@@ -540,18 +537,6 @@ fn explore<O: Observer>(
                             }
                         }
                     }
-                }
-                let mut k = 0;
-                loop {
-                    if k == arity {
-                        break 'tuples;
-                    }
-                    tuple[k] += 1;
-                    if tuple[k] < known {
-                        break;
-                    }
-                    tuple[k] = 0;
-                    k += 1;
                 }
             }
         }

@@ -15,7 +15,7 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use qa_obs::{Counter, Observer, Series};
+use qa_obs::{json, Counter, Observer, Series};
 
 /// One event retained by the ring.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,6 +101,53 @@ impl FlightEvent {
                 let _ = write!(out, "alert    rule #{rule} {from} -> {to} @ tick {tick}");
             }
         }
+    }
+
+    fn to_json(self) -> String {
+        json::object(|w| match self {
+            FlightEvent::Config { state, pos, dir } => {
+                w.field_str("type", "config");
+                w.field_u64("state", state.into());
+                w.field_u64("pos", pos.into());
+                w.field_raw("dir", &dir.to_string());
+            }
+            FlightEvent::PhaseStart(name) => {
+                w.field_str("type", "phase_start");
+                w.field_str("name", name);
+            }
+            FlightEvent::PhaseEnd(name) => {
+                w.field_str("type", "phase_end");
+                w.field_str("name", name);
+            }
+            FlightEvent::Selected { pos, state, sym } => {
+                w.field_str("type", "selected");
+                w.field_u64("pos", pos.into());
+                w.field_u64("state", state.into());
+                w.field_u64("sym", sym.into());
+            }
+            FlightEvent::StayAssign {
+                parent,
+                child,
+                state,
+            } => {
+                w.field_str("type", "stay_assign");
+                w.field_u64("parent", parent.into());
+                w.field_u64("child", child.into());
+                w.field_u64("state", state.into());
+            }
+            FlightEvent::Alert {
+                tick,
+                rule,
+                from,
+                to,
+            } => {
+                w.field_str("type", "alert");
+                w.field_u64("tick", tick);
+                w.field_u64("rule", rule.into());
+                w.field_str("from", from);
+                w.field_str("to", to);
+            }
+        })
     }
 }
 
@@ -293,9 +340,8 @@ impl FlightRecorder {
 
     /// Render the recorder as JSON — the machine-readable twin of
     /// [`dump`](FlightRecorder::dump), served by `qa-fleet --serve` at
-    /// `GET /flight`. Hand-rolled like every exporter in this workspace
-    /// (phase names are `&'static str` identifiers; the only escaping
-    /// needed is for quotes/backslashes, handled below).
+    /// `GET /flight`. Written through [`qa_obs::json`], so correlation ids
+    /// with quotes or control characters stay valid JSON.
     pub fn to_json(&self) -> String {
         self.render_json(None)
     }
@@ -309,109 +355,40 @@ impl FlightRecorder {
     }
 
     fn render_json(&self, tail: Option<usize>) -> String {
-        use std::fmt::Write;
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let mut out = String::new();
-        out.push('{');
-        if let Some((run_id, worker)) = self.correlation() {
-            let _ = write!(
-                out,
-                "\"run_id\":\"{}\",\"worker\":\"{}\",",
-                esc(run_id),
-                esc(worker)
-            );
-        }
-        let _ = write!(
-            out,
-            "\"retained\":{},\"capacity\":{},\"dropped\":{}",
-            self.ring.len(),
-            self.cap,
-            self.dropped
-        );
         let shown = tail.unwrap_or(self.ring.len()).min(self.ring.len());
-        if tail.is_some() {
-            let _ = write!(out, ",\"shown\":{shown}");
-        }
-        let _ = write!(out, ",\"counters\":{{");
-        let mut first = true;
-        for c in Counter::ALL {
-            let v = self.counters[c.index()];
-            if v != 0 {
-                if !first {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\":{v}", c.name());
-                first = false;
+        json::object(|w| {
+            if let Some((run_id, worker)) = self.correlation() {
+                w.field_str("run_id", run_id);
+                w.field_str("worker", worker);
             }
-        }
-        out.push('}');
-        match self.repeated_config() {
-            Some((state, pos, n)) if n > 1 => {
-                let _ = write!(
-                    out,
-                    ",\"repeated_config\":{{\"state\":{state},\"pos\":{pos},\"count\":{n}}}"
-                );
+            w.field_u64("retained", self.ring.len() as u64);
+            w.field_u64("capacity", self.cap as u64);
+            w.field_u64("dropped", self.dropped);
+            if tail.is_some() {
+                w.field_u64("shown", shown as u64);
             }
-            _ => {
-                let _ = write!(out, ",\"repeated_config\":null");
-            }
-        }
-        let _ = write!(out, ",\"events\":[");
-        let skip = self.ring.len() - shown;
-        for (i, ev) in self.ring.iter().skip(skip).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match *ev {
-                FlightEvent::Config { state, pos, dir } => {
-                    let _ = write!(
-                        out,
-                        "{{\"type\":\"config\",\"state\":{state},\"pos\":{pos},\"dir\":{dir}}}"
-                    );
+            let counters = json::object(|c| {
+                for counter in Counter::ALL {
+                    let v = self.counters[counter.index()];
+                    if v != 0 {
+                        c.field_u64(counter.name(), v);
+                    }
                 }
-                FlightEvent::PhaseStart(name) => {
-                    let _ = write!(
-                        out,
-                        "{{\"type\":\"phase_start\",\"name\":\"{}\"}}",
-                        esc(name)
-                    );
-                }
-                FlightEvent::PhaseEnd(name) => {
-                    let _ = write!(out, "{{\"type\":\"phase_end\",\"name\":\"{}\"}}", esc(name));
-                }
-                FlightEvent::Selected { pos, state, sym } => {
-                    let _ = write!(
-                        out,
-                        "{{\"type\":\"selected\",\"pos\":{pos},\"state\":{state},\"sym\":{sym}}}"
-                    );
-                }
-                FlightEvent::StayAssign {
-                    parent,
-                    child,
-                    state,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"type\":\"stay_assign\",\"parent\":{parent},\"child\":{child},\"state\":{state}}}"
-                    );
-                }
-                FlightEvent::Alert {
-                    tick,
-                    rule,
-                    from,
-                    to,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"type\":\"alert\",\"tick\":{tick},\"rule\":{rule},\"from\":\"{from}\",\"to\":\"{to}\"}}"
-                    );
-                }
-            }
-        }
-        out.push_str("]}");
-        out
+            });
+            w.field_raw("counters", &counters);
+            let repeated = match self.repeated_config() {
+                Some((state, pos, n)) if n > 1 => json::object(|r| {
+                    r.field_u64("state", state.into());
+                    r.field_u64("pos", pos.into());
+                    r.field_u64("count", n as u64);
+                }),
+                _ => "null".to_string(),
+            };
+            w.field_raw("repeated_config", &repeated);
+            let skip = self.ring.len() - shown;
+            let events = self.ring.iter().skip(skip).map(|ev| ev.to_json());
+            w.field_raw("events", &json::array(events));
+        })
     }
 }
 
@@ -696,6 +673,25 @@ mod tests {
         let shared = SharedFlight::with_capacity(4);
         shared.set_correlation("mesh-s7-q4x4", "w2");
         assert!(shared.with(|r| r.to_json()).contains("\"worker\":\"w2\""));
+    }
+
+    #[test]
+    fn json_escapes_control_characters_in_correlation_ids() {
+        let mut rec = FlightRecorder::with_capacity(4);
+        rec.config(1, 2, -1);
+        rec.phase_start("bottom-up pass");
+        let hostile = "run\"\n\u{1}";
+        rec.set_correlation(hostile, "w\\1");
+        let parsed = json::parse(&rec.to_json()).expect("valid JSON");
+        assert_eq!(parsed.get("run_id").and_then(|v| v.as_str()), Some(hostile));
+        assert_eq!(parsed.get("worker").and_then(|v| v.as_str()), Some("w\\1"));
+        let events = parsed.get("events").and_then(|v| v.as_arr()).unwrap();
+        assert_eq!(events[0].get("dir").and_then(|v| v.as_f64()), Some(-1.0));
+        assert_eq!(
+            events[1].get("name").and_then(|v| v.as_str()),
+            Some("bottom-up pass")
+        );
+        assert!(json::parse(&rec.to_json_tail(1)).is_ok());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! step.
 
 use qa_base::{Error, Result, Symbol};
-use qa_core::ranked::{ops, Dbta, Nbta};
+use qa_core::ranked::{ops, Dbta, Nbta, Tuples};
 use qa_strings::StateId;
 use qa_trees::Tree;
 
@@ -71,19 +71,18 @@ fn local_dbta(
         d.set_final(StateId::from_index(f), true);
     }
     // enumerate all tuples of states (incl. dead) up to rank m
-    let total = num_states + 1;
+    let mut ids: Vec<StateId> = Vec::new();
     for e_idx in 0..ext {
         let e = Symbol::from_index(e_idx);
         let base = base_symbol(e, sigma);
         let mask = ext_mask(e, sigma);
         for arity in 0..=m {
-            let mut tuple = vec![0usize; arity];
-            loop {
-                let ids: Vec<StateId> = tuple.iter().map(|&i| StateId::from_index(i)).collect();
+            let mut tuples = Tuples::<usize>::new(arity, num_states + 1);
+            while let Some(tuple) = tuples.next_tuple() {
                 let target = if tuple.contains(&num_states) {
                     dead
                 } else {
-                    match step(&tuple, base, mask) {
+                    match step(tuple, base, mask) {
                         Some(q) => {
                             debug_assert!(q < num_states);
                             StateId::from_index(q)
@@ -91,24 +90,9 @@ fn local_dbta(
                         None => dead,
                     }
                 };
+                ids.clear();
+                ids.extend(tuple.iter().map(|&i| StateId::from_index(i)));
                 d.set_transition(&ids, e, target);
-                // next tuple
-                let mut i = 0;
-                let mut done = arity == 0;
-                while i < arity {
-                    tuple[i] += 1;
-                    if tuple[i] < total {
-                        break;
-                    }
-                    tuple[i] = 0;
-                    i += 1;
-                    if i == arity {
-                        done = true;
-                    }
-                }
-                if done {
-                    break;
-                }
             }
         }
     }
@@ -403,10 +387,7 @@ fn project_top_bit(d: &Dbta, sigma: usize, k_with: usize) -> Dbta {
     let top = 1usize << (k_with - 1);
     let mut n = Nbta::new(ext_alphabet_len(sigma, k_with - 1), d.max_rank());
     for _ in 0..d.num_states() {
-        n.add_state();
-    }
-    for i in 0..d.num_states() {
-        let s = StateId::from_index(i);
+        let s = n.add_state();
         n.set_final(s, d.is_final(s));
     }
     for (children, e, q) in d.transitions() {

@@ -11,7 +11,7 @@
 
 use qa_base::Symbol;
 use qa_core::ranked::{ops, Dbta};
-use qa_obs::{Counter, Machine, NoopObserver, Observer, Series};
+use qa_obs::{Counter, Machine, NoopObserver, Observer, Series, Tee};
 use qa_strings::StateId;
 use qa_trees::{NodeId, Tree};
 
@@ -50,9 +50,10 @@ pub fn eval_unary_ranked_with<O: Observer>(
 
 /// A unary query prepared for batch evaluation: the compiled automaton is
 /// totalized **once** instead of per document. `eval_unary_ranked` pays the
-/// `O(|Q| · |Σ×{0,1}| · rank)` totalization on every call; across a 10k
-/// document batch that fixed cost dominates small-tree evaluation, so batch
-/// drivers (qa-par, qa-fleet) evaluate through a `PreparedUnary`.
+/// `O(|Q|^rank · |Σ×{0,1}|)` totalization (one slot per child-state tuple
+/// and label) on every call; across a 10k document batch that fixed cost
+/// dominates small-tree evaluation, so batch drivers (qa-par, qa-fleet)
+/// evaluate through a `PreparedUnary`.
 #[derive(Clone, Debug)]
 pub struct PreparedUnary {
     total: Dbta,
@@ -117,75 +118,34 @@ impl PreparedUnary {
         obs.phase_start("fcns encoding");
         let (enc, map) = qa_trees::fcns::encode_with_map(tree, nil_symbol(self.sigma));
         obs.phase_end("fcns encoding");
-        let mut tap = CertificateTap {
-            inner: obs,
-            picks: Vec::new(),
-        };
+        let mut tee = Tee(&mut *obs, Picks(Vec::new()));
         let _ = eval_total(
             &self.total,
             &enc,
             encoded_alphabet_len(self.sigma),
-            &mut tap,
+            &mut tee,
         );
-        tap.picks
+        let Tee(_, Picks(picks)) = tee;
+        picks
             .into_iter()
             .filter_map(|(pos, state)| map[pos as usize].map(|v| (v, state)))
             .collect()
     }
 }
 
-/// Forwards every event to the wrapped observer while capturing the
-/// `(node, marked_state)` pairs of [`Observer::selected`] events.
-struct CertificateTap<'a, O> {
-    inner: &'a mut O,
-    picks: Vec<(u32, u32)>,
-}
+/// Captures the `(node, marked_state)` pairs of [`Observer::selected`]
+/// events; teed beside the caller's observer, which alone decides whether
+/// the run is observed.
+struct Picks(Vec<(u32, u32)>);
 
-impl<O: Observer> Observer for CertificateTap<'_, O> {
+impl Observer for Picks {
     #[inline]
-    fn count(&mut self, counter: Counter, n: u64) {
-        self.inner.count(counter, n);
-    }
-    #[inline]
-    fn record(&mut self, series: Series, value: u64) {
-        self.inner.record(series, value);
-    }
-    #[inline]
-    fn config(&mut self, state: u32, pos: u32, dir: i8) {
-        self.inner.config(state, pos, dir);
-    }
-    #[inline]
-    fn phase_start(&mut self, name: &'static str) {
-        self.inner.phase_start(name);
-    }
-    #[inline]
-    fn phase_end(&mut self, name: &'static str) {
-        self.inner.phase_end(name);
-    }
-    #[inline]
-    fn selected(&mut self, pos: u32, state: u32, sym: u32) {
-        self.picks.push((pos, state));
-        self.inner.selected(pos, state, sym);
-    }
-    #[inline]
-    fn stay_assign(&mut self, parent: u32, child: u32, state: u32) {
-        self.inner.stay_assign(parent, child, state);
-    }
-    #[inline]
-    fn state_visit(&mut self, machine: Machine, state: u32, sym: u32) {
-        self.inner.state_visit(machine, state, sym);
-    }
-    #[inline]
-    fn transition_fired(&mut self, machine: Machine, from: u32, sym: u32, to: u32) {
-        self.inner.transition_fired(machine, from, sym, to);
-    }
-    #[inline]
-    fn checkpoint(&mut self) -> Result<(), qa_obs::Abort> {
-        self.inner.checkpoint()
+    fn selected(&mut self, pos: u32, state: u32, _sym: u32) {
+        self.0.push((pos, state));
     }
     #[inline]
     fn is_enabled(&self) -> bool {
-        self.inner.is_enabled()
+        false
     }
 }
 
@@ -204,70 +164,70 @@ fn eval_total<O: Observer>(d: &Dbta, tree: &Tree, sigma: usize, obs: &mut O) -> 
 
     // Pass 1 (bottom-up): b[v] = state of the unmarked subtree t_v.
     obs.phase_start("bottom-up pass");
-    let mut b: Vec<Option<StateId>> = vec![None; tree.num_nodes()];
+    let mut b: Vec<StateId> = vec![StateId::from_index(0); tree.num_nodes()];
+    let mut children: Vec<StateId> = Vec::new();
     for v in tree.postorder() {
         obs.count(Counter::Steps, 1);
         if obs.checkpoint().is_err() {
             obs.phase_end("bottom-up pass");
             return Vec::new();
         }
-        let children: Vec<StateId> = tree
-            .children(v)
-            .iter()
-            .map(|c| b[c.index()].expect("postorder"))
-            .collect();
+        children.clear();
+        children.extend(tree.children(v).iter().map(|c| b[c.index()]));
         obs.count(Counter::TableLookups, 1);
         let ext = unmarked(tree.label(v));
-        b[v.index()] = d.transition(&children, ext);
-        if let Some(q) = b[v.index()] {
-            obs.state_visit(Machine::Dbtar, q.index() as u32, ext.index() as u32);
-            if obs.is_enabled() {
-                for &c in &children {
-                    obs.transition_fired(
-                        Machine::Dbtar,
-                        c.index() as u32,
-                        ext.index() as u32,
-                        q.index() as u32,
-                    );
-                }
-            }
-        }
-        if b[v.index()].is_none() {
+        let Some(q) = d.transition(&children, ext) else {
             // total automaton ⇒ only possible if the tree's rank exceeds
             // the automaton's; nothing is selected then.
             obs.phase_end("bottom-up pass");
             return Vec::new();
+        };
+        b[v.index()] = q;
+        obs.state_visit(Machine::Dbtar, q.index() as u32, ext.index() as u32);
+        if obs.is_enabled() {
+            for &c in &children {
+                obs.transition_fired(
+                    Machine::Dbtar,
+                    c.index() as u32,
+                    ext.index() as u32,
+                    q.index() as u32,
+                );
+            }
         }
     }
     obs.phase_end("bottom-up pass");
 
-    // Pass 2 (top-down): ctx[v][q] = root state if v's subtree evaluated to
-    // q (everything outside v unmarked).
+    // Pass 2 (top-down): ctx[v·|Q| + q] = root state if v's subtree
+    // evaluated to q (everything outside v unmarked).
     obs.phase_start("top-down pass");
     let nq = d.num_states();
-    let mut ctx: Vec<Option<Vec<StateId>>> = vec![None; tree.num_nodes()];
-    ctx[tree.root().index()] = Some((0..nq).map(StateId::from_index).collect());
+    let mut ctx: Vec<StateId> = vec![StateId::from_index(0); tree.num_nodes() * nq];
+    let root = tree.root().index() * nq;
+    for (q, slot) in ctx[root..root + nq].iter_mut().enumerate() {
+        *slot = StateId::from_index(q);
+    }
+    let mut table: Vec<StateId> = Vec::with_capacity(nq);
     for v in tree.preorder() {
         obs.count(Counter::Steps, 1);
         if obs.checkpoint().is_err() {
             obs.phase_end("top-down pass");
             return Vec::new();
         }
-        let table = ctx[v.index()].clone().expect("preorder");
-        let kids = tree.children(v).to_vec();
-        let kid_states: Vec<StateId> = kids.iter().map(|c| b[c.index()].unwrap()).collect();
+        table.clear();
+        table.extend_from_slice(&ctx[v.index() * nq..][..nq]);
+        let kids = tree.children(v);
+        children.clear();
+        children.extend(kids.iter().map(|c| b[c.index()]));
+        let ext = unmarked(tree.label(v));
         for (i, &c) in kids.iter().enumerate() {
-            let mut child_table: Vec<StateId> = Vec::with_capacity(nq);
             for q_idx in 0..nq {
-                let mut children = kid_states.clone();
                 children[i] = StateId::from_index(q_idx);
                 obs.count(Counter::TableLookups, 1);
-                let ext = unmarked(tree.label(v));
                 let here = d.transition(&children, ext).expect("totalized");
                 obs.state_visit(Machine::Dbtar, here.index() as u32, ext.index() as u32);
-                child_table.push(table[here.index()]);
+                ctx[c.index() * nq + q_idx] = table[here.index()];
             }
-            ctx[c.index()] = Some(child_table);
+            children[i] = b[c.index()];
         }
     }
     obs.phase_end("top-down pass");
@@ -281,16 +241,13 @@ fn eval_total<O: Observer>(d: &Dbta, tree: &Tree, sigma: usize, obs: &mut O) -> 
             obs.phase_end("verdicts");
             return Vec::new();
         }
-        let children: Vec<StateId> = tree
-            .children(v)
-            .iter()
-            .map(|c| b[c.index()].unwrap())
-            .collect();
+        children.clear();
+        children.extend(tree.children(v).iter().map(|c| b[c.index()]));
         obs.count(Counter::SelectionChecks, 1);
         let ext = marked(tree.label(v));
         if let Some(q_marked) = d.transition(&children, ext) {
             obs.state_visit(Machine::Dbtar, q_marked.index() as u32, ext.index() as u32);
-            let root_state = ctx[v.index()].as_ref().unwrap()[q_marked.index()];
+            let root_state = ctx[v.index() * nq + q_marked.index()];
             if d.is_final(root_state) {
                 // certificate: marking v drives the bottom-up run
                 // into q_marked, and v's context maps that to an
