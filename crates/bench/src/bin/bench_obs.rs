@@ -44,7 +44,12 @@
 //! stay within 10% of the plain full stack (or a small absolute ns/step
 //! slack on noisy runners). The scope row (full stack plus a per-state
 //! [`qa_scope::ScopeProfiler`], the `--scope` / EXPLAIN ANALYZE
-//! configuration) is held to the same 10%-over-stack bound.
+//! configuration) is held to the same 10%-over-stack bound. The "serve
+//! eval (Figure 6)" row times `qa_serve::evaluate`, the serving daemon's
+//! whole per-query evaluation (watchdog, per-job tally, one fold into a
+//! registry), against the bare Figure 6 run under `NoopObserver` for
+//! `label(v, a)` on a seeded 14 000-node tree over four labels; it must
+//! stay within 10% of noop or 10 extra ns/step.
 //!
 //! `--par` runs a repetition-heavy batch (string queries over a small
 //! document pool plus repeated §6 decision calls) two ways — plain
@@ -494,16 +499,87 @@ fn overhead(gate: bool) -> usize {
             violations += 1;
         }
     }
+    if !serve_eval_within_budget() && gate {
+        violations += 1;
+    }
     if gate {
         if violations == 0 {
             println!(
-                "gate: OK — every observer within {MAX_EXTRA_NS_PER_STEP} extra ns/step or {MAX_RELATIVE}x of noop; pulse and scope within {MAX_PULSE_RELATIVE}x of the full stack"
+                "gate: OK — every observer within {MAX_EXTRA_NS_PER_STEP} extra ns/step or {MAX_RELATIVE}x of noop; pulse and scope within {MAX_PULSE_RELATIVE}x of the full stack; serve eval within {MAX_SERVE_RELATIVE}x or {MAX_SERVE_EXTRA_NS_PER_STEP} extra ns/step of noop"
             );
         } else {
             println!("gate: {violations} observer(s) over budget");
         }
     }
     violations
+}
+
+/// The serve-eval row passes if EITHER bound holds.
+const MAX_SERVE_RELATIVE: f64 = 1.10;
+const MAX_SERVE_EXTRA_NS_PER_STEP: f64 = 10.0;
+
+/// The "serve eval (Figure 6)" row: `qa_serve::evaluate` under the
+/// daemon's default budget against `eval_unranked_with(NoopObserver)`,
+/// timed in interleaved single runs (median of each), so drifting load
+/// on a shared machine hits both sides alike. Asserts that both select
+/// the same nodes; returns whether the row is within its bound.
+fn serve_eval_within_budget() -> bool {
+    use qa_flight::Budget;
+    use qa_obs::{Counter, NoopObserver, Tally};
+    use std::time::{Duration, Instant};
+
+    const REPS: usize = 101;
+    let mut alphabet = Alphabet::from_names(["a", "b", "c", "d"]);
+    let labels: Vec<Symbol> = (0..4).map(Symbol::from_index).collect();
+    let mut rng = qa_base::rng::StdRng::seed_from_u64(14_000);
+    let tree = qa_trees::generate::random(&mut rng, &labels, 14_000, None);
+    let query = qa_serve::QueryCache::new(1)
+        .compile("label(v, a)", &mut alphabet, None)
+        .expect("label(v, a) compiles");
+    let prepared = &query.prepared;
+    let cfg = qa_serve::ServeConfig::default();
+    let budget = Budget::steps(cfg.max_steps)
+        .with_wall(Duration::from_millis(cfg.max_wall_ms))
+        .with_wall_poll_every(64);
+    let registry = Metrics::new();
+    let serve = || qa_serve::evaluate(prepared, &tree, false, false, budget, &registry);
+
+    let mut counted = Tally::new();
+    let plain = prepared.eval_unranked_with(&tree, &mut counted);
+    let steps = counted.get(Counter::Steps).max(1);
+    let served: Vec<_> = serve().selected.into_iter().map(|(v, _)| v).collect();
+    assert_eq!(served, plain, "serve eval selects what the bare run does");
+
+    let time = |f: &mut dyn FnMut()| {
+        let start = Instant::now();
+        f();
+        start.elapsed().as_secs_f64() * 1e9
+    };
+    let (mut ns_noop, mut ns_serve) = (Vec::with_capacity(REPS), Vec::with_capacity(REPS));
+    for _ in 0..REPS {
+        ns_noop.push(time(&mut || {
+            qa_bench::black_box(prepared.eval_unranked_with(&tree, &mut NoopObserver));
+        }));
+        ns_serve.push(time(&mut || {
+            qa_bench::black_box(serve());
+        }));
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (noop, ns) = (median(&mut ns_noop), median(&mut ns_serve));
+    let rel = ns / noop.max(1e-9);
+    let extra_per_step = (ns - noop) / steps as f64;
+    let ok = rel <= MAX_SERVE_RELATIVE || extra_per_step <= MAX_SERVE_EXTRA_NS_PER_STEP;
+    println!(
+        "{:<24} {ns:>12.1} {:>10.2} {rel:>8.2}x noop ({extra_per_step:+.2} ns/step over {:.1}){}",
+        "serve eval (Figure 6)",
+        ns / steps as f64,
+        noop / steps as f64,
+        if ok { "" } else { "  <-- OVER BUDGET" }
+    );
+    ok
 }
 
 /// A 2DFA that makes `sweeps` full right-then-left passes over the word

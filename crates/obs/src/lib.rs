@@ -17,8 +17,10 @@
 //!
 //! - [`Observer`] — the event sink trait every engine is generic over.
 //!   [`NoopObserver`] (zero cost), [`MetricsObserver`] (atomic counters),
-//!   [`RunTrace`] (configuration log + per-phase wall-clock), and
-//!   [`Tee`] (fan out to two sinks) are the provided implementations.
+//!   [`Tally`] (plain per-job counters, folded into a registry once with
+//!   [`Metrics::absorb`]), [`RunTrace`] (configuration log + per-phase
+//!   wall-clock), and [`Tee`] (fan out to two sinks) are the provided
+//!   implementations.
 //! - [`Metrics`] — a registry of atomic [`Counter`]s and fixed-bucket
 //!   power-of-two [`Histogram`]s ([`Series`]), shareable across threads,
 //!   serialized with [`Metrics::to_json`].
@@ -43,7 +45,7 @@ pub mod trace;
 
 pub use context::{fnv1a64, TraceContext};
 pub use event::{identity_projection, parse_events, render_events, JobEvent, VOLATILE_FIELDS};
-pub use metrics::{Histogram, HistogramSnapshot, InfoLabels, Metrics, MetricsObserver};
+pub use metrics::{Histogram, HistogramSnapshot, InfoLabels, Metrics, MetricsObserver, Tally};
 pub use observer::{Abort, Counter, Machine, NoopObserver, Observer, Series, Tee};
 pub use stats::{percentile_sorted, quantile_bucket, quantile_from_buckets};
 pub use trace::{PhaseSpan, RunTrace, TraceConfig};

@@ -142,6 +142,21 @@ impl HistogramSnapshot {
         }
     }
 
+    /// Record one sample, exactly as [`Histogram::record`] would.
+    #[inline]
+    pub fn record(&mut self, value: u64) {
+        self.min = if self.count == 0 {
+            value
+        } else {
+            self.min.min(value)
+        };
+        self.max = self.max.max(value);
+        // Wrapping, like the registry's relaxed `fetch_add`s.
+        self.buckets[bucket_index(value)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+    }
+
     /// Arithmetic mean of the samples, `0.0` when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -264,6 +279,20 @@ impl Metrics {
         }
     }
 
+    /// Fold a per-job [`Tally`] into this registry, with the same result as
+    /// if every event it counted had been sent here directly.
+    pub fn absorb(&self, tally: &Tally) {
+        for c in Counter::ALL {
+            let v = tally.get(c);
+            if v != 0 {
+                self.count(c, v);
+            }
+        }
+        for s in Series::ALL {
+            self.series[s.index()].absorb(tally.histogram(s));
+        }
+    }
+
     /// Reset every counter and histogram to zero.
     pub fn reset(&self) {
         for c in &self.counters {
@@ -341,6 +370,55 @@ impl Observer for MetricsObserver<'_> {
     #[inline]
     fn record(&mut self, series: Series, value: u64) {
         self.metrics.record(series, value);
+    }
+}
+
+/// Plain single-threaded [`Observer`] counting one job: one `u64` per
+/// [`Counter`] and one [`HistogramSnapshot`] per [`Series`], with no atomics.
+/// A job counts here and folds into a shared registry once, with
+/// [`Metrics::absorb`], instead of paying an atomic per event.
+#[derive(Clone, Debug)]
+pub struct Tally {
+    counters: [u64; Counter::COUNT],
+    series: [HistogramSnapshot; Series::COUNT],
+}
+
+impl Default for Tally {
+    fn default() -> Self {
+        Tally {
+            counters: [0; Counter::COUNT],
+            series: std::array::from_fn(|_| HistogramSnapshot::empty()),
+        }
+    }
+}
+
+impl Tally {
+    /// Fresh tally with everything at zero.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Current value of `counter`.
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter.index()]
+    }
+
+    /// The samples recorded into `series`.
+    pub fn histogram(&self, series: Series) -> &HistogramSnapshot {
+        &self.series[series.index()]
+    }
+}
+
+impl Observer for Tally {
+    #[inline]
+    fn count(&mut self, counter: Counter, n: u64) {
+        let slot = &mut self.counters[counter.index()];
+        *slot = slot.wrapping_add(n);
+    }
+
+    #[inline]
+    fn record(&mut self, series: Series, value: u64) {
+        self.series[series.index()].record(value);
     }
 }
 
@@ -481,6 +559,50 @@ mod tests {
         merged.merge(&a);
         merged.merge(&b);
         assert_eq!(full_snapshot(&merged), full_snapshot(&direct));
+    }
+
+    #[test]
+    fn absorbed_tallies_match_direct_recording() {
+        // A seeded random stream of count/record calls: one copy feeds a
+        // registry event by event, the other is split over two tallies
+        // folded in at the end, the second on top of the first's totals.
+        for seed in 0..16u64 {
+            let direct = Metrics::new();
+            let mut tallies = [Tally::new(), Tally::new()];
+            let mut x = seed.wrapping_mul(2862933555777941757) ^ 0x9e37_79b9_7f4a_7c15;
+            for _ in 0..500 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                // Small values, power-of-two edges and the occasional
+                // huge sample, so every bucket and the tail get traffic.
+                let v = match x >> 61 {
+                    0 => 0,
+                    1 => 1u64 << ((x >> 8) % 64),
+                    2 => u64::MAX - (x >> 40) % 3,
+                    _ => (x >> 16) % 10_000,
+                };
+                let tally = &mut tallies[(x >> 32) as usize & 1];
+                if (x >> 33) & 1 == 0 {
+                    let c = Counter::ALL[(x >> 34) as usize % Counter::COUNT];
+                    direct.observer().count(c, v);
+                    tally.count(c, v);
+                } else {
+                    let s = Series::ALL[(x >> 34) as usize % Series::COUNT];
+                    direct.observer().record(s, v);
+                    tally.record(s, v);
+                }
+            }
+            let absorbed = Metrics::new();
+            for tally in &tallies {
+                absorbed.absorb(tally);
+            }
+            assert_eq!(
+                full_snapshot(&absorbed),
+                full_snapshot(&direct),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -20,6 +20,12 @@
 //! runaway query aborts gracefully inside its worker and the client gets
 //! `408` with the tripped budget, never a hung connection.
 //!
+//! Each evaluation ([`evaluate`]) counts its events in a plain per-job
+//! [`Tally`] and folds it into the served [`Metrics`] registry once,
+//! before the result is sent back. Workers therefore never contend on the
+//! shared registry per event, and its totals are the same as if every
+//! event had gone to it directly.
+//!
 //! Two observability surfaces ride on every served query:
 //!
 //! - **Wide events.** Each `POST /query` that reaches evaluation emits
@@ -36,18 +42,19 @@
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, LockResult, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use qa_base::Alphabet;
 use qa_flight::{Budget, JobEvent, Sampled, SharedEvents, Watchdog};
+use qa_mso::PreparedUnary;
 use qa_obs::json::{self, Value};
-use qa_obs::{Counter, Metrics, NoopObserver, Series, Tee, TraceContext};
+use qa_obs::{Abort, Counter, Metrics, NoopObserver, Observer, Series, Tally, Tee, TraceContext};
 use qa_par::WorkPool;
 use qa_pulse::{ApiRequest, ApiResponse, PulseServer, PulseState};
 use qa_scope::ScopeProfiler;
 use qa_sentinel::SharedSentinel;
-use qa_trees::Tree;
+use qa_trees::{NodeId, Tree};
 
 use crate::cache::QueryCache;
 use crate::store::DocStore;
@@ -288,7 +295,7 @@ impl Core {
                 p.explain_run().render_text()
             }
         };
-        let scopes = self.scopes.lock().expect("scope lock poisoned");
+        let scopes = recover(self.scopes.lock());
         match query {
             None => {
                 let mut merged = ScopeProfiler::new();
@@ -300,10 +307,7 @@ impl Core {
             Some(name) => {
                 // A registered id resolves to its formula's hash; anything
                 // else is taken as the hash key itself.
-                let key = self
-                    .registered
-                    .lock()
-                    .expect("registry lock poisoned")
+                let key = recover(self.registered.lock())
                     .get(name)
                     .map(|f| format!("{:016x}", qa_obs::fnv1a64(f.trim().as_bytes())))
                     .unwrap_or_else(|| name.to_string());
@@ -316,11 +320,20 @@ impl Core {
     /// `events.jsonl` sink when configured.
     fn emit_event(&self, event: JobEvent) {
         if let Some(file) = &self.events_file {
-            let mut f = file.lock().expect("events file lock poisoned");
+            let mut f = recover(file.lock());
             let _ = writeln!(f, "{}", event.to_json());
         }
         self.events.push(event);
     }
+}
+
+/// A lock's guard, also after a thread panicked while holding it. Every
+/// structure behind the daemon's locks stays valid at each step of an
+/// update (an ingest or compile inserts its result whole, and a parse
+/// that stops half way has only interned extra labels), so one request's
+/// panic must not fail every later request.
+fn recover<G>(lock: LockResult<G>) -> G {
+    lock.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Route one request; `None` declines to the server's own 404/405.
@@ -354,7 +367,7 @@ fn put_doc(core: &Arc<Core>, req: &ApiRequest) -> ApiResponse {
         return error_json(400, "PUT /doc needs the document text as request body");
     }
     let receipt = {
-        let mut store = core.store.write().expect("store lock poisoned");
+        let mut store = recover(core.store.write());
         store.ingest(name, &req.body)
     };
     match receipt {
@@ -414,7 +427,7 @@ fn post_query(core: &Arc<Core>, req: &ApiRequest) -> ApiResponse {
     let formula = match (&parsed.formula, &parsed.id) {
         (Some(f), _) => f.clone(),
         (None, Some(id)) => {
-            let registered = core.registered.lock().expect("registry lock poisoned");
+            let registered = recover(core.registered.lock());
             match registered.get(id) {
                 Some(f) => f.clone(),
                 None => return error_json(404, &format!("no registered query `{id}`")),
@@ -432,8 +445,8 @@ fn post_query(core: &Arc<Core>, req: &ApiRequest) -> ApiResponse {
     // Compile (or fetch) the query under the store's write lock so the
     // shared alphabet and the compiled σ stay coherent.
     let compiled = {
-        let mut store = core.store.write().expect("store lock poisoned");
-        let mut cache = core.cache.lock().expect("cache lock poisoned");
+        let mut store = recover(core.store.write());
+        let mut cache = recover(core.cache.lock());
         cache.compile(&formula, store.alphabet_mut(), Some(&core.metrics))
     };
     let compiled = match compiled {
@@ -441,10 +454,7 @@ fn post_query(core: &Arc<Core>, req: &ApiRequest) -> ApiResponse {
         Err(e) => return error_json(422, &format!("compile failed: {e}")),
     };
     if let Some(id) = &parsed.register {
-        core.registered
-            .lock()
-            .expect("registry lock poisoned")
-            .insert(id.clone(), compiled.formula.clone());
+        recover(core.registered.lock()).insert(id.clone(), compiled.formula.clone());
     }
     // Registration without a target document compiles and returns.
     let Some(doc_name) = &parsed.doc else {
@@ -462,7 +472,7 @@ fn post_query(core: &Arc<Core>, req: &ApiRequest) -> ApiResponse {
         );
     };
     let (tree, labels, doc_id, doc_depth): (Arc<Tree>, Alphabet, usize, usize) = {
-        let store = core.store.read().expect("store lock poisoned");
+        let store = recover(core.store.read());
         match (store.get(doc_name), store.id_of(doc_name)) {
             (Some(doc), Some(id)) => (
                 Arc::clone(&doc.tree),
@@ -473,53 +483,27 @@ fn post_query(core: &Arc<Core>, req: &ApiRequest) -> ApiResponse {
             _ => return error_json(404, &format!("no document `{doc_name}`")),
         }
     };
-    // Dispatch onto the work-stealing pool under a per-request budget.
-    // The chain tees the shared registry (daemon-lifetime totals), a
-    // per-request registry (the wide event's exact counters), and — for
-    // `"explain": true` — a per-state profiler; NoopObserver keeps the
-    // scope arm zero-cost for everyone else.
+    // Dispatch onto the work-stealing pool under a per-request budget;
+    // `evaluate` counts the run in its own tally and folds it into the
+    // shared registry once, before the result comes back.
     let budget = Budget::steps(core.cfg.max_steps)
         .with_wall(Duration::from_millis(core.cfg.max_wall_ms))
         .with_wall_poll_every(64);
     let (tx, rx) = mpsc::channel();
     let job_metrics = Arc::clone(&core.metrics);
-    let req_metrics = Arc::new(Metrics::new());
-    let job_req_metrics = Arc::clone(&req_metrics);
     let job_query = Arc::clone(&compiled);
     let job_tree = Arc::clone(&tree);
-    let why = parsed.why;
-    let explain = parsed.explain;
+    let (why, explain) = (parsed.why, parsed.explain);
     let submitted = core.pool.submit(Box::new(move || {
-        let scope_arm = if explain {
-            Sampled::Full(ScopeProfiler::new())
-        } else {
-            Sampled::Light(NoopObserver)
-        };
-        let mut dog = Watchdog::new(
-            Tee(
-                job_metrics.observer(),
-                Tee(job_req_metrics.observer(), scope_arm),
-            ),
+        let run = evaluate(
+            &job_query.prepared,
+            &job_tree,
+            why,
+            explain,
             budget,
+            &job_metrics,
         );
-        let explained = if why {
-            job_query
-                .prepared
-                .eval_unranked_explained(&job_tree, &mut dog)
-        } else {
-            job_query
-                .prepared
-                .eval_unranked_with(&job_tree, &mut dog)
-                .into_iter()
-                .map(|v| (v, 0))
-                .collect()
-        };
-        let tripped = dog.tripped();
-        if tripped.is_some() {
-            job_metrics.count(Counter::BudgetTrips, 1);
-        }
-        let Tee(_, Tee(_, scope_arm)) = dog.into_inner();
-        let _ = tx.send((explained, tripped, scope_arm.full()));
+        let _ = tx.send(run);
     }));
     if !submitted {
         return error_json(503, "daemon is shutting down");
@@ -527,17 +511,16 @@ fn post_query(core: &Arc<Core>, req: &ApiRequest) -> ApiResponse {
     // The budget bounds the evaluation; the recv deadline only guards
     // against a lost worker, so it can be generous.
     let deadline = Duration::from_millis(core.cfg.max_wall_ms.saturating_mul(4).max(1_000) + 5_000);
-    let (explained, tripped, scope) = match rx.recv_timeout(deadline) {
-        Ok(result) => result,
+    let run = match rx.recv_timeout(deadline) {
+        Ok(run) => run,
         Err(_) => return error_json(500, "evaluation worker lost"),
     };
+    let (explained, tripped, scope) = (run.selected, run.tripped, run.scope);
     // Accumulate the profile under the query's hash (partial profiles of
     // tripped runs included — an aborted run's heat map is exactly what
     // EXPLAIN is for).
     if let Some(sp) = &scope {
-        core.scopes
-            .lock()
-            .expect("scope lock poisoned")
+        recover(core.scopes.lock())
             .entry(format!("{:016x}", compiled.hash))
             .or_default()
             .merge(sp);
@@ -559,10 +542,10 @@ fn post_query(core: &Arc<Core>, req: &ApiRequest) -> ApiResponse {
         doc_index: doc_id,
         doc_nodes: tree.num_nodes(),
         doc_depth,
-        steps: req_metrics.get(Counter::Steps),
-        reversals: req_metrics.get(Counter::HeadReversals),
-        cache_hits: req_metrics.get(Counter::CacheHits),
-        cache_misses: req_metrics.get(Counter::CacheMisses),
+        steps: run.steps,
+        reversals: run.reversals,
+        cache_hits: run.cache_hits,
+        cache_misses: run.cache_misses,
         budget_trips: u64::from(tripped.is_some()),
         selected: explained.len(),
         sampled: explain,
@@ -615,8 +598,84 @@ fn post_query(core: &Arc<Core>, req: &ApiRequest) -> ApiResponse {
     )
 }
 
+/// What [`evaluate`] hands back for one served query.
+#[derive(Debug)]
+pub struct Evaluation {
+    /// Selected nodes in document order, each paired with its marked
+    /// state when `why` was asked for (0 otherwise).
+    pub selected: Vec<(NodeId, u32)>,
+    /// The budget that aborted the run, if one did (the selection is
+    /// then empty).
+    pub tripped: Option<Abort>,
+    /// The per-state profile of an `explain` run.
+    pub scope: Option<ScopeProfiler>,
+    /// The run's own `steps`. Only the wide event's four work counters
+    /// leave the job, not the whole ~2.4 KB tally: the result travels
+    /// back over a channel that allocates room for 31 of them at once.
+    pub steps: u64,
+    /// The run's own `head_reversals`.
+    pub reversals: u64,
+    /// The run's own `cache_hits`.
+    pub cache_hits: u64,
+    /// The run's own `cache_misses`.
+    pub cache_misses: u64,
+}
+
+/// Evaluate one served query the way `POST /query` does: the Figure 6
+/// two-pass run of `prepared` over `tree` (with `why_selected`
+/// certificates when `why` is set) under the observer chain
+/// `Watchdog(Tee(Tally, scope arm))`.
+///
+/// The [`Tally`] counts every event in plain per-job integers; it is
+/// folded into `registry` once, on every path, aborted runs included, so
+/// the registry's totals equal those of a run observed through
+/// [`Metrics::observer`] without an atomic per event. A tripped budget
+/// also counts one [`Counter::BudgetTrips`]. The scope arm is a
+/// [`ScopeProfiler`] when `explain` is set and a [`NoopObserver`]
+/// otherwise. The step budget is enforced by the [`Watchdog`]'s own
+/// step count.
+pub fn evaluate(
+    prepared: &PreparedUnary,
+    tree: &Tree,
+    why: bool,
+    explain: bool,
+    budget: Budget,
+    registry: &Metrics,
+) -> Evaluation {
+    let scope_arm = if explain {
+        Sampled::Full(ScopeProfiler::new())
+    } else {
+        Sampled::Light(NoopObserver)
+    };
+    let mut dog = Watchdog::new(Tee(Tally::new(), scope_arm), budget);
+    let selected = if why {
+        prepared.eval_unranked_explained(tree, &mut dog)
+    } else {
+        prepared
+            .eval_unranked_with(tree, &mut dog)
+            .into_iter()
+            .map(|v| (v, 0))
+            .collect()
+    };
+    let tripped = dog.tripped();
+    let Tee(mut tally, scope_arm) = dog.into_inner();
+    if tripped.is_some() {
+        tally.count(Counter::BudgetTrips, 1);
+    }
+    registry.absorb(&tally);
+    Evaluation {
+        selected,
+        tripped,
+        scope: scope_arm.full(),
+        steps: tally.get(Counter::Steps),
+        reversals: tally.get(Counter::HeadReversals),
+        cache_hits: tally.get(Counter::CacheHits),
+        cache_misses: tally.get(Counter::CacheMisses),
+    }
+}
+
 fn get_docs(core: &Arc<Core>) -> ApiResponse {
-    let store = core.store.read().expect("store lock poisoned");
+    let store = recover(core.store.read());
     let body = json::object(|w| {
         w.field_u64("count", store.len() as u64);
         w.field_u64("sigma", store.alphabet().len() as u64);
@@ -637,14 +696,9 @@ fn get_docs(core: &Arc<Core>) -> ApiResponse {
 }
 
 fn get_queries(core: &Arc<Core>) -> ApiResponse {
-    let sigma = core
-        .store
-        .read()
-        .expect("store lock poisoned")
-        .alphabet()
-        .len();
-    let registered = core.registered.lock().expect("registry lock poisoned");
-    let cache = core.cache.lock().expect("cache lock poisoned");
+    let sigma = recover(core.store.read()).alphabet().len();
+    let registered = recover(core.registered.lock());
+    let cache = recover(core.cache.lock());
     let (hits, misses, evictions) = cache.stats();
     // Resident compiled automata by hash, so registered ids can report
     // their state count without forcing a compile.
@@ -686,4 +740,60 @@ fn get_queries(core: &Arc<Core>) -> ApiResponse {
         w.field_u64("evictions", evictions);
     });
     ApiResponse::json(200, body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn request(method: &str, route: &str, query: &str, body: &str) -> ApiRequest {
+        ApiRequest {
+            method: method.to_string(),
+            route: route.to_string(),
+            query: query.to_string(),
+            body: body.to_string(),
+        }
+    }
+
+    fn status(core: &Arc<Core>, req: ApiRequest) -> u16 {
+        handle(core, &req).expect("routed").status
+    }
+
+    /// Poison one of the daemon's locks by panicking while holding it,
+    /// then check that queries and both catalogs still answer.
+    fn serves_after_a_panic_under(poison: impl Fn(&Core) + Sync) {
+        let daemon = ServeDaemon::start(ServeConfig {
+            scrape_every_ms: 0,
+            ..ServeConfig::default()
+        })
+        .expect("daemon starts");
+        let core = &daemon.core;
+        assert_eq!(status(core, request("PUT", "/doc", "name=d", "(a b)")), 200);
+        std::thread::scope(|s| {
+            let panicked = s.spawn(|| poison(core)).join();
+            assert!(panicked.is_err(), "the poisoning thread panics");
+        });
+        assert!(core.store.is_poisoned() || core.cache.is_poisoned());
+        let query = r#"{"formula": "label(v, b)", "doc": "d"}"#;
+        assert_eq!(status(core, request("POST", "/query", "", query)), 200);
+        assert_eq!(status(core, request("GET", "/docs", "", "")), 200);
+        assert_eq!(status(core, request("GET", "/queries", "", "")), 200);
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn a_panic_under_the_store_write_lock_fails_no_later_request() {
+        serves_after_a_panic_under(|core| {
+            let _store = core.store.write();
+            panic!("injected panic under the store write lock");
+        });
+    }
+
+    #[test]
+    fn a_panic_under_the_cache_mutex_fails_no_later_request() {
+        serves_after_a_panic_under(|core| {
+            let _cache = core.cache.lock();
+            panic!("injected panic under the cache mutex");
+        });
+    }
 }

@@ -31,6 +31,6 @@ pub mod soak;
 pub mod store;
 
 pub use cache::{CompiledQuery, QueryCache};
-pub use daemon::{ServeConfig, ServeDaemon, DEFAULT_SLO_RULES};
+pub use daemon::{evaluate, Evaluation, ServeConfig, ServeDaemon, DEFAULT_SLO_RULES};
 pub use soak::{run_soak, soak_corpus, SoakConfig, SoakReport, SOAK_FORMULAS};
 pub use store::{DocStore, IngestReceipt, StoredDoc};

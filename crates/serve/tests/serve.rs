@@ -113,6 +113,143 @@ fn served_node_sets_match_the_batch_evaluation_under_concurrency() {
     daemon.shutdown();
 }
 
+/// Step budget of the totals-parity test: every small document fits in
+/// it and the big one trips it.
+const PARITY_MAX_STEPS: u64 = 3_000;
+
+#[test]
+fn served_totals_and_event_counts_equal_in_process_runs() {
+    use qa_flight::{Budget, Watchdog};
+    use qa_obs::{Counter, Metrics, Series};
+
+    let cfg = ServeConfig {
+        max_steps: PARITY_MAX_STEPS,
+        ..quiet_config()
+    };
+    let daemon = ServeDaemon::start(cfg).expect("daemon starts");
+    let addr = daemon.addr();
+    let big = {
+        let mut s = String::from("(a");
+        for i in 0..1000 {
+            s.push_str(if i % 2 == 0 { " (b c)" } else { " c" });
+        }
+        s.push(')');
+        s
+    };
+    let corpus = [
+        ("left", "(a (b c) (b (a c)))".to_string()),
+        ("right", "(b (a (b b)) c (c a))".to_string()),
+        ("wide", "(a b b c b a (c (c b)))".to_string()),
+        ("big", big),
+    ];
+    for (name, text) in &corpus {
+        assert_eq!(put_doc(addr, name, text).status, 200);
+    }
+    // Every label the formulas name is already in the documents, so the
+    // alphabet (and each compiled automaton) is the same whatever order
+    // the two clients' requests compile in.
+    let formulas = ["label(v, b)", "leaf(v) & label(v, c)", "label(v, a)"];
+    let small = ["left", "right", "wide"];
+    // Two clients, the same (formula, doc) pairs in opposite orders, each
+    // request plain, `why` or `explain` in turn.
+    let pairs: Vec<(&str, &str)> = formulas
+        .iter()
+        .flat_map(|&f| small.iter().map(move |&d| (f, d)))
+        .collect();
+    let mut reversed = pairs.clone();
+    reversed.reverse();
+    let clients = [pairs, reversed];
+    let body = |formula: &str, doc: &str, i: usize| {
+        json::object(|w| {
+            w.field_str("formula", formula);
+            w.field_str("doc", doc);
+            w.field_bool("why", i % 3 == 1);
+            w.field_bool("explain", i % 3 == 2);
+        })
+    };
+    std::thread::scope(|scope| {
+        for client in &clients {
+            scope.spawn(move || {
+                for (i, &(formula, doc)) in client.iter().enumerate() {
+                    let resp = post_query(addr, &body(formula, doc, i));
+                    assert_eq!(resp.status, 200, "{}", resp.body);
+                }
+            });
+        }
+    });
+    let tripped = post_query(addr, &body("label(v, b)", "big", 0));
+    assert_eq!(tripped.status, 408, "{}", tripped.body);
+
+    // The same evaluations in process, each through a registry observer
+    // under the same step budget.
+    let mut store = DocStore::new();
+    for (name, text) in &corpus {
+        store.ingest(name, text).expect("in-process ingest");
+    }
+    let mut cache = QueryCache::new(8);
+    let run = |formula: &str, doc: &str, store: &mut DocStore, cache: &mut QueryCache| {
+        let q = cache
+            .compile(formula, store.alphabet_mut(), None)
+            .expect("in-process compile");
+        let per_query = Metrics::new();
+        let mut dog = Watchdog::new(per_query.observer(), Budget::steps(PARITY_MAX_STEPS));
+        q.prepared
+            .eval_unranked_with(&store.get(doc).expect("ingested").tree, &mut dog);
+        if dog.tripped().is_some() {
+            per_query.count(Counter::BudgetTrips, 1);
+        }
+        let key = (
+            format!("{:016x}", q.hash),
+            store.id_of(doc).expect("ingested"),
+        );
+        (key, per_query)
+    };
+    let expected = Metrics::new();
+    let mut steps_of = std::collections::BTreeMap::new();
+    let sent = clients
+        .iter()
+        .flatten()
+        .copied()
+        .chain([("label(v, b)", "big")]);
+    for (formula, doc) in sent {
+        let (key, per_query) = run(formula, doc, &mut store, &mut cache);
+        steps_of.insert(key, per_query.get(Counter::Steps));
+        expected.merge(&per_query);
+    }
+
+    let served = daemon.metrics();
+    for c in [
+        Counter::Steps,
+        Counter::TableLookups,
+        Counter::SelectionChecks,
+        Counter::BudgetTrips,
+    ] {
+        assert_eq!(served.get(c), expected.get(c), "{}", c.name());
+    }
+    assert_eq!(served.get(Counter::BudgetTrips), 1);
+    let (got, want) = (
+        served.histogram(Series::MachineStates),
+        expected.histogram(Series::MachineStates),
+    );
+    assert_eq!(
+        (got.count, got.sum),
+        (want.count, want.sum),
+        "machine_states"
+    );
+
+    let events = qa_flight::parse_events(&daemon.events().tail_jsonl(64)).expect("events parse");
+    assert_eq!(events.len(), 2 * formulas.len() * small.len() + 1);
+    for ev in &events {
+        let want = steps_of[&(ev.query.clone(), ev.doc_index)];
+        assert_eq!(
+            ev.steps, want,
+            "steps of {} on doc {}",
+            ev.query, ev.doc_index
+        );
+    }
+    daemon.shutdown();
+}
+
 #[test]
 fn zero_queue_depth_sheds_with_retry_after_and_never_hangs() {
     let cfg = ServeConfig {
