@@ -96,8 +96,9 @@ impl Histogram {
     }
 }
 
-/// Plain-data copy of a [`Histogram`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Plain-data copy of a [`Histogram`]; the default is
+/// [`HistogramSnapshot::empty`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Sample counts per power-of-two bucket (see [`bucket_index`]).
     pub buckets: [u64; HISTOGRAM_BUCKETS],
@@ -377,19 +378,10 @@ impl Observer for MetricsObserver<'_> {
 /// [`Counter`] and one [`HistogramSnapshot`] per [`Series`], with no atomics.
 /// A job counts here and folds into a shared registry once, with
 /// [`Metrics::absorb`], instead of paying an atomic per event.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Tally {
     counters: [u64; Counter::COUNT],
     series: [HistogramSnapshot; Series::COUNT],
-}
-
-impl Default for Tally {
-    fn default() -> Self {
-        Tally {
-            counters: [0; Counter::COUNT],
-            series: std::array::from_fn(|_| HistogramSnapshot::empty()),
-        }
-    }
 }
 
 impl Tally {
