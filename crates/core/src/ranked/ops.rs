@@ -199,21 +199,22 @@ pub fn is_empty(d: &Dbta) -> bool {
 
 /// A smallest-ish witness tree, if the language is non-empty.
 ///
-/// Computes reachable states with representative trees attached.
+/// Computes reachable states with representative trees attached. Among
+/// equally small witnesses, the one of the smallest final state wins.
 pub fn witness(d: &Dbta) -> Option<qa_trees::Tree> {
-    let mut reached: HashMap<StateId, qa_trees::Tree> = HashMap::new();
+    let mut reached: Vec<Option<qa_trees::Tree>> = vec![None; d.num_states()];
     loop {
         let mut added = false;
         for (children, label, q) in d.transitions() {
-            if reached.contains_key(&q) {
+            if reached[q.index()].is_some() {
                 continue;
             }
             if let Some(kids) = children
                 .iter()
-                .map(|c| reached.get(c).cloned())
+                .map(|c| reached[c.index()].clone())
                 .collect::<Option<Vec<_>>>()
             {
-                reached.insert(q, qa_trees::Tree::node(label, kids));
+                reached[q.index()] = Some(qa_trees::Tree::node(label, kids));
                 added = true;
             }
         }
@@ -222,9 +223,10 @@ pub fn witness(d: &Dbta) -> Option<qa_trees::Tree> {
         }
     }
     reached
-        .iter()
-        .filter(|(q, _)| d.is_final(**q))
-        .map(|(_, t)| t.clone())
+        .into_iter()
+        .enumerate()
+        .filter(|&(q, _)| d.is_final(StateId::from_index(q)))
+        .filter_map(|(_, t)| t)
         .min_by_key(|t| t.num_nodes())
 }
 
@@ -336,6 +338,23 @@ mod tests {
         let empty = Dbta::new(a.len(), 2);
         assert!(is_empty(&empty));
         assert!(witness(&empty).is_none());
+    }
+
+    #[test]
+    fn witness_ties_go_to_the_smallest_final_state() {
+        let a = Alphabet::from_names(["a", "b"]);
+        let mut d = Dbta::new(a.len(), 0);
+        let qa = d.add_state();
+        let qb = d.add_state();
+        d.set_final(qa, true);
+        d.set_final(qb, true);
+        d.set_leaf(a.symbol("a"), qa);
+        d.set_leaf(a.symbol("b"), qb);
+        for _ in 0..64 {
+            let w = witness(&d).unwrap();
+            assert_eq!(w.num_nodes(), 1);
+            assert_eq!(w.label(w.root()), a.symbol("a"));
+        }
     }
 
     #[test]

@@ -22,6 +22,27 @@ pub enum Polarity {
     Down,
 }
 
+/// The transitions of one `(state, label)` pair: one slot of the
+/// `[state][label]` rows that both two-way machines keep, grown a row per
+/// `add_state`. `down` is the ranked machine's defined `δ↓` tuples (one per
+/// arity) or the unranked machine's `L↓`.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Cell<D> {
+    pub(crate) polarity: Option<Polarity>,
+    pub(crate) leaf: Option<StateId>,
+    pub(crate) root: Option<StateId>,
+    pub(crate) down: D,
+}
+
+/// Every slot of `[state][label]` rows with its pair, state-major.
+pub(crate) fn pairs<T>(rows: &[Vec<T>]) -> impl Iterator<Item = (StateId, Symbol, &T)> {
+    rows.iter().enumerate().flat_map(|(q, row)| {
+        row.iter()
+            .enumerate()
+            .map(move |(s, t)| (StateId::from_index(q), Symbol::from_index(s), t))
+    })
+}
+
 /// A two-way deterministic ranked tree automaton.
 ///
 /// Transitions (Definition 4.1):
@@ -43,26 +64,19 @@ pub struct TwoWayRanked {
     max_rank: usize,
     initial: StateId,
     finals: Vec<bool>,
-    /// `polarity[state][symbol]`; `None` = the pair is in neither set.
-    polarity: Vec<Vec<Option<Polarity>>>,
-    delta_leaf: HashMap<(StateId, Symbol), StateId>,
-    delta_root: HashMap<(StateId, Symbol), StateId>,
+    /// `cells[state][symbol]`; `down` lists the defined `δ↓` tuples, whose
+    /// lengths are their arities.
+    cells: Vec<Vec<Cell<Vec<Vec<StateId>>>>>,
+    /// Keyed by the children's pairs: `decision/tiling.rs` folds a fan of
+    /// `|T|` children, which a dense tuple table would need
+    /// `(|Q|·|Σ|)^|T|` slots for.
     delta_up: HashMap<Vec<(StateId, Symbol)>, StateId>,
-    delta_down: HashMap<(StateId, Symbol, usize), Vec<StateId>>,
 }
 
 /// Builder validating Definition 4.1's side conditions.
 #[derive(Clone, Debug)]
 pub struct TwoWayRankedBuilder {
     inner: TwoWayRanked,
-}
-
-/// Collect and sort an iterator; used to make validation-error selection
-/// independent of `HashMap` iteration order.
-fn sorted<T: Ord>(it: impl Iterator<Item = T>) -> Vec<T> {
-    let mut v: Vec<T> = it.collect();
-    v.sort();
-    v
 }
 
 impl TwoWayRankedBuilder {
@@ -75,11 +89,8 @@ impl TwoWayRankedBuilder {
                 max_rank,
                 initial: StateId::from_index(0),
                 finals: Vec::new(),
-                polarity: Vec::new(),
-                delta_leaf: HashMap::new(),
-                delta_root: HashMap::new(),
+                cells: Vec::new(),
                 delta_up: HashMap::new(),
-                delta_down: HashMap::new(),
             },
         }
     }
@@ -90,9 +101,13 @@ impl TwoWayRankedBuilder {
         self.inner.num_states += 1;
         self.inner.finals.push(false);
         self.inner
-            .polarity
-            .push(vec![None; self.inner.alphabet_len]);
+            .cells
+            .push(vec![Cell::default(); self.inner.alphabet_len]);
         id
+    }
+
+    fn cell(&mut self, state: StateId, label: Symbol) -> &mut Cell<Vec<Vec<StateId>>> {
+        &mut self.inner.cells[state.index()][label.index()]
     }
 
     /// Set the initial state.
@@ -109,14 +124,14 @@ impl TwoWayRankedBuilder {
 
     /// Put `(state, label)` into `U` or `D`.
     pub fn set_polarity(&mut self, state: StateId, label: Symbol, p: Polarity) -> &mut Self {
-        self.inner.polarity[state.index()][label.index()] = Some(p);
+        self.cell(state, label).polarity = Some(p);
         self
     }
 
     /// Put `(state, ·)` into `U` or `D` for every label.
     pub fn set_polarity_all(&mut self, state: StateId, p: Polarity) -> &mut Self {
-        for l in 0..self.inner.alphabet_len {
-            self.inner.polarity[state.index()][l] = Some(p);
+        for cell in &mut self.inner.cells[state.index()] {
+            cell.polarity = Some(p);
         }
         self
     }
@@ -128,22 +143,23 @@ impl TwoWayRankedBuilder {
         label: Symbol,
         children_states: &[StateId],
     ) -> &mut Self {
-        self.inner.delta_down.insert(
-            (state, label, children_states.len()),
-            children_states.to_vec(),
-        );
+        let down = &mut self.cell(state, label).down;
+        match down.iter_mut().find(|v| v.len() == children_states.len()) {
+            Some(v) => v.copy_from_slice(children_states),
+            None => down.push(children_states.to_vec()),
+        }
         self
     }
 
     /// Define `δ_leaf(state, label) = next`.
     pub fn set_leaf(&mut self, state: StateId, label: Symbol, next: StateId) -> &mut Self {
-        self.inner.delta_leaf.insert((state, label), next);
+        self.cell(state, label).leaf = Some(next);
         self
     }
 
     /// Define `δ_root(state, label) = next`.
     pub fn set_root(&mut self, state: StateId, label: Symbol, next: StateId) -> &mut Self {
-        self.inner.delta_root.insert((state, label), next);
+        self.cell(state, label).root = Some(next);
         self
     }
 
@@ -159,36 +175,27 @@ impl TwoWayRankedBuilder {
         if m.num_states == 0 {
             return Err(Error::ill_formed("2DTAr", "no states"));
         }
-        let pol = |q: StateId, s: Symbol| m.polarity[q.index()][s.index()];
-        // Validation iterates sorted keys so that, when several entries
-        // violate an invariant, the reported one is deterministic (raw
-        // HashMap order is per-instance random).
-        for (q, s) in sorted(m.delta_leaf.keys().copied()) {
-            if pol(q, s) != Some(Polarity::Down) {
-                return Err(Error::ill_formed(
-                    "2DTAr",
-                    format!("δ_leaf defined on non-D pair ({q:?}, {s:?})"),
-                ));
-            }
+        for (q, s, c) in pairs(&m.cells) {
+            let (down, up) = (Some(Polarity::Down), Some(Polarity::Up));
+            let misplaced = if c.leaf.is_some() && c.polarity != down {
+                "δ_leaf defined on non-D pair"
+            } else if !c.down.is_empty() && c.polarity != down {
+                "δ↓ defined on non-D pair"
+            } else if c.root.is_some() && c.polarity != up {
+                "δ_root defined on non-U pair"
+            } else {
+                continue;
+            };
+            return Err(Error::ill_formed(
+                "2DTAr",
+                format!("{misplaced} ({q:?}, {s:?})"),
+            ));
         }
-        for (q, s, _) in sorted(m.delta_down.keys().copied()) {
-            if pol(q, s) != Some(Polarity::Down) {
-                return Err(Error::ill_formed(
-                    "2DTAr",
-                    format!("δ↓ defined on non-D pair ({q:?}, {s:?})"),
-                ));
-            }
-        }
-        for (q, s) in sorted(m.delta_root.keys().copied()) {
-            if pol(q, s) != Some(Polarity::Up) {
-                return Err(Error::ill_formed(
-                    "2DTAr",
-                    format!("δ_root defined on non-U pair ({q:?}, {s:?})"),
-                ));
-            }
-        }
-        for seq in sorted(m.delta_up.keys().cloned()) {
-            let seq = &seq;
+        // Sorted so that, when several δ↑ entries are ill-formed, the
+        // reported one does not depend on HashMap order.
+        let mut ups: Vec<&Vec<(StateId, Symbol)>> = m.delta_up.keys().collect();
+        ups.sort();
+        for seq in ups {
             if seq.is_empty() || seq.len() > m.max_rank {
                 return Err(Error::ill_formed(
                     "2DTAr",
@@ -196,7 +203,7 @@ impl TwoWayRankedBuilder {
                 ));
             }
             for &(q, s) in seq {
-                if pol(q, s) != Some(Polarity::Up) {
+                if m.polarity(q, s) != Some(Polarity::Up) {
                     return Err(Error::ill_formed(
                         "2DTAr",
                         format!("δ↑ mentions non-U pair ({q:?}, {s:?})"),
@@ -204,14 +211,12 @@ impl TwoWayRankedBuilder {
                 }
             }
         }
-        for (&(_, _, n), v) in &m.delta_down {
-            if v.len() != n || n == 0 || n > m.max_rank {
+        for v in m.cells.iter().flatten().flat_map(|c| &c.down) {
+            let n = v.len();
+            if n == 0 || n > m.max_rank {
                 return Err(Error::ill_formed(
                     "2DTAr",
-                    format!(
-                        "δ↓ must emit exactly the arity many states (got {} for arity {n})",
-                        v.len()
-                    ),
+                    format!("δ↓ must emit exactly the arity many states (got {n} for arity {n})"),
                 ));
             }
         }
@@ -262,24 +267,26 @@ impl TwoWayRanked {
 
     /// The polarity of `(state, label)`.
     pub fn polarity(&self, state: StateId, label: Symbol) -> Option<Polarity> {
-        self.polarity[state.index()][label.index()]
+        self.cells[state.index()][label.index()].polarity
     }
 
     /// `δ↓(state, label, arity)`.
     pub fn down(&self, state: StateId, label: Symbol, arity: usize) -> Option<&[StateId]> {
-        self.delta_down
-            .get(&(state, label, arity))
-            .map(|v| v.as_slice())
+        self.cells[state.index()][label.index()]
+            .down
+            .iter()
+            .find(|v| v.len() == arity)
+            .map(Vec::as_slice)
     }
 
     /// `δ_leaf(state, label)`.
     pub fn leaf(&self, state: StateId, label: Symbol) -> Option<StateId> {
-        self.delta_leaf.get(&(state, label)).copied()
+        self.cells[state.index()][label.index()].leaf
     }
 
     /// `δ_root(state, label)`.
     pub fn root(&self, state: StateId, label: Symbol) -> Option<StateId> {
-        self.delta_root.get(&(state, label)).copied()
+        self.cells[state.index()][label.index()].root
     }
 
     /// `δ↑(children pairs)`.
@@ -875,6 +882,88 @@ mod tests {
         b.set_polarity_all(q, Polarity::Up);
         b.set_up(&[], q);
         assert!(b.build().is_err(), "empty δ↑ sequence rejected");
+
+        // Two ill-formed entries: the scan goes pair by pair, state-major,
+        // and names the first pair holding any misplaced transition.
+        let mut b = TwoWayRankedBuilder::new(a.len(), 2);
+        let q0 = b.add_state();
+        let q1 = b.add_state();
+        b.set_polarity_all(q0, Polarity::Down);
+        b.set_leaf(q1, a.symbol("0"), q1);
+        b.set_root(q0, a.symbol("1"), q0);
+        assert_eq!(
+            b.build().unwrap_err().to_string(),
+            "ill-formed automaton (2DTAr): δ_root defined on non-U pair (q0, s3)"
+        );
+    }
+
+    #[test]
+    fn rows_agree_with_a_reference_map_while_they_grow() {
+        use qa_base::rng::{Rng, StdRng};
+        use std::collections::BTreeMap;
+        let mut rng = StdRng::seed_from_u64(0x2da7);
+        let (mut overwrites, mut two_arities) = (0, 0);
+        for round in 0..60 {
+            let sigma = rng.gen_range(1..=3);
+            let mut b = TwoWayRankedBuilder::new(sigma, 3);
+            let mut polarity = BTreeMap::new();
+            let mut leaf = BTreeMap::new();
+            let mut root = BTreeMap::new();
+            let mut down: BTreeMap<(usize, usize, usize), Vec<StateId>> = BTreeMap::new();
+            let mut states = 0;
+            // add_state interleaved with writes, so rows grow after they
+            // already hold transitions
+            for _ in 0..rng.gen_range(1..64) {
+                if states == 0 || (states < 5 && rng.gen_bool(0.15)) {
+                    b.add_state();
+                    states += 1;
+                    continue;
+                }
+                let (q, s) = (rng.gen_range(0..states), rng.gen_range(0..sigma));
+                let (qs, ss) = (StateId::from_index(q), Symbol::from_index(s));
+                let next = StateId::from_index(rng.gen_range(0..states));
+                let replaced = match rng.gen_range(0..4) {
+                    0 => {
+                        let p = [Polarity::Up, Polarity::Down][rng.gen_range(0..2)];
+                        b.set_polarity(qs, ss, p);
+                        polarity.insert((q, s), p).is_some()
+                    }
+                    1 => {
+                        b.set_leaf(qs, ss, next);
+                        leaf.insert((q, s), next).is_some()
+                    }
+                    2 => {
+                        b.set_root(qs, ss, next);
+                        root.insert((q, s), next).is_some()
+                    }
+                    _ => {
+                        let arity = rng.gen_range(1..=2);
+                        let kids: Vec<StateId> = (0..arity)
+                            .map(|_| StateId::from_index(rng.gen_range(0..states)))
+                            .collect();
+                        b.set_down(qs, ss, &kids);
+                        if down.contains_key(&(q, s, 3 - arity)) {
+                            two_arities += 1;
+                        }
+                        down.insert((q, s, arity), kids).is_some()
+                    }
+                };
+                overwrites += usize::from(replaced);
+            }
+            let m = &b.inner;
+            for (q, s) in (0..states).flat_map(|q| (0..sigma).map(move |s| (q, s))) {
+                let (qs, ss) = (StateId::from_index(q), Symbol::from_index(s));
+                let at = format!("round {round}: ({q}, {s})");
+                assert_eq!(m.polarity(qs, ss), polarity.get(&(q, s)).copied(), "{at}");
+                assert_eq!(m.leaf(qs, ss), leaf.get(&(q, s)).copied(), "{at}");
+                assert_eq!(m.root(qs, ss), root.get(&(q, s)).copied(), "{at}");
+                for arity in 0..=3 {
+                    let want = down.get(&(q, s, arity)).map(Vec::as_slice);
+                    assert_eq!(m.down(qs, ss, arity), want, "{at} arity {arity}");
+                }
+            }
+        }
+        assert!(overwrites > 0 && two_arities > 0);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Bottom-up unranked tree automata (Definition 5.1).
 
-use std::collections::HashMap;
-
 use qa_base::{Error, Result, Symbol};
 use qa_obs::{Counter, Machine, NoopObserver, Observer, Series};
 use qa_strings::{Dfa, Nfa, StateId};
 use qa_trees::Tree;
+
+use crate::ranked::twoway::pairs;
 
 /// A nondeterministic bottom-up unranked tree automaton `(Q, Σ, F, δ)`:
 /// each transition `δ(q, a)` is a *regular language* over `Q`, represented
@@ -29,8 +29,9 @@ pub struct Nbtau {
     alphabet_len: usize,
     num_states: usize,
     finals: Vec<bool>,
-    /// `δ(q, a)` as an NFA over the state alphabet; missing entry = ∅.
-    delta: HashMap<(StateId, Symbol), Nfa>,
+    /// `delta[q][a]`: `δ(q, a)` as an NFA over the state alphabet; `None`
+    /// = ∅.
+    delta: Vec<Vec<Option<Nfa>>>,
 }
 
 impl Nbtau {
@@ -40,7 +41,7 @@ impl Nbtau {
             alphabet_len,
             num_states: 0,
             finals: Vec::new(),
-            delta: HashMap::new(),
+            delta: Vec::new(),
         }
     }
 
@@ -49,6 +50,7 @@ impl Nbtau {
         let id = StateId::from_index(self.num_states);
         self.num_states += 1;
         self.finals.push(false);
+        self.delta.push(vec![None; self.alphabet_len]);
         id
     }
 
@@ -86,24 +88,21 @@ impl Nbtau {
                 ),
             ));
         }
-        self.delta.insert((state, label), nfa);
+        self.delta[state.index()][label.index()] = Some(nfa);
         Ok(())
     }
 
     /// The transition language `δ(state, label)`, if non-empty.
     pub fn language(&self, state: StateId, label: Symbol) -> Option<&Nfa> {
-        self.delta.get(&(state, label))
+        self.delta[state.index()][label.index()].as_ref()
     }
 
     /// Iterate over all defined transition languages, in `(state, label)`
-    /// order — deterministic so fixpoint step counts and witness shapes are
-    /// reproducible across runs (the bench_obs regression gate depends on
-    /// this).
+    /// order: the rows are walked in place, so fixpoint step counts and
+    /// witness shapes are reproducible across runs (the bench_obs
+    /// regression gate depends on this).
     pub fn languages(&self) -> impl Iterator<Item = (StateId, Symbol, &Nfa)> + '_ {
-        let mut entries: Vec<(StateId, Symbol, &Nfa)> =
-            self.delta.iter().map(|(&(q, a), n)| (q, a, n)).collect();
-        entries.sort_by_key(|&(q, a, _)| (q.index(), a.index()));
-        entries.into_iter()
+        pairs(&self.delta).filter_map(|(q, a, nfa)| Some((q, a, nfa.as_ref()?)))
     }
 
     /// `δ*(t)` at every node: `table[v]` is the sorted set of states
@@ -247,10 +246,9 @@ pub struct Dbtau {
     alphabet_len: usize,
     num_states: usize,
     finals: Vec<bool>,
-    /// One classifier per symbol.
-    classifiers: Vec<Option<Dfa>>,
-    /// `(symbol, classifier state) → automaton state`.
-    assign: HashMap<(Symbol, StateId), StateId>,
+    /// One classifier per symbol, with the automaton state assigned to
+    /// each classifier state.
+    classifiers: Vec<Option<(Dfa, Vec<Option<StateId>>)>>,
 }
 
 impl Dbtau {
@@ -261,7 +259,6 @@ impl Dbtau {
             num_states: 0,
             finals: Vec::new(),
             classifiers: vec![None; alphabet_len],
-            assign: HashMap::new(),
         }
     }
 
@@ -295,6 +292,7 @@ impl Dbtau {
 
     /// Install the classifier for `label`: a DFA over the state alphabet
     /// plus the mapping from classifier states to assigned automaton states.
+    /// Errors if a mapped classifier state is not a state of `dfa`.
     pub fn set_classifier(
         &mut self,
         label: Symbol,
@@ -307,10 +305,17 @@ impl Dbtau {
                 "classifier alphabet must equal the state count",
             ));
         }
+        let mut table = vec![None; dfa.num_states()];
         for (cs, q) in assign {
-            self.assign.insert((label, cs), q);
+            let Some(slot) = table.get_mut(cs.index()) else {
+                return Err(Error::ill_formed(
+                    "DBTAu",
+                    format!("classifier state {cs:?} is not a state of the classifier"),
+                ));
+            };
+            *slot = Some(q);
         }
-        self.classifiers[label.index()] = Some(dfa);
+        self.classifiers[label.index()] = Some((dfa, table));
         Ok(())
     }
 
@@ -330,14 +335,14 @@ impl Dbtau {
         let mut steps = 0u64;
         for v in tree.postorder() {
             let label = tree.label(v);
-            let dfa = self.classifiers[label.index()].as_ref()?;
+            let (dfa, assign) = self.classifiers[label.index()].as_ref()?;
             let mut cs = dfa.initial();
             for &c in tree.children(v) {
                 let q = table[c.index()]?;
                 obs.count(Counter::TableLookups, 1);
                 cs = dfa.next(cs, Symbol::from_index(q.index()))?;
             }
-            let q2 = self.assign.get(&(label, cs)).copied();
+            let q2 = assign[cs.index()];
             if let Some(q2) = q2 {
                 steps += 1;
                 obs.count(Counter::Steps, 1);
@@ -383,16 +388,15 @@ impl Dbtau {
             let s = StateId::from_index(i);
             n.set_final(s, self.is_final(s));
         }
-        for (a_idx, dfa) in self.classifiers.iter().enumerate() {
-            let Some(dfa) = dfa else { continue };
+        for (a_idx, c) in self.classifiers.iter().enumerate() {
+            let Some((dfa, assign)) = c else { continue };
             let label = Symbol::from_index(a_idx);
             for q_idx in 0..self.num_states {
                 let q = StateId::from_index(q_idx);
                 // language: words whose classifier state maps to q
                 let mut d = dfa.clone();
-                for cs_idx in 0..d.num_states() {
-                    let cs = StateId::from_index(cs_idx);
-                    d.set_accepting(cs, self.assign.get(&(label, cs)) == Some(&q));
+                for (cs_idx, &owner) in assign.iter().enumerate() {
+                    d.set_accepting(StateId::from_index(cs_idx), owner == Some(q));
                 }
                 if !d.is_empty() {
                     n.set_language(q, label, d.to_nfa())
@@ -524,7 +528,15 @@ mod tests {
         let mut leaf1 = Dfa::new(2);
         let o = leaf1.add_state();
         leaf1.set_initial(o);
-        d.set_classifier(a.symbol("1"), leaf1, [(o, q1)]).unwrap();
+        d.set_classifier(a.symbol("1"), leaf1.clone(), [(o, q1)])
+            .unwrap();
+        // a classifier state outside the DFA is rejected, and the
+        // installed classifier stays
+        let outside = StateId::from_index(1);
+        assert!(matches!(
+            d.set_classifier(a.symbol("1"), leaf1, [(outside, q0)]),
+            Err(Error::IllFormed { .. })
+        ));
 
         let n = Nbtau::boolean_circuit(&a);
         for s in [

@@ -9,7 +9,7 @@ use qa_trees::{NodeId, Tree};
 
 use super::cache::{UpCache, UpEntry};
 use super::stay::{pair_alphabet_len, pair_symbol, StayRule};
-use crate::ranked::twoway::Polarity;
+use crate::ranked::twoway::{pairs, Cell, Polarity};
 
 /// A two-way deterministic unranked tree automaton, optionally *generalized*
 /// with stay transitions (Definition 5.11) and *strong* when the per-node
@@ -32,14 +32,12 @@ pub struct TwoWayUnranked {
     num_states: usize,
     initial: StateId,
     finals: Vec<bool>,
-    polarity: Vec<Vec<Option<Polarity>>>,
-    delta_leaf: HashMap<(StateId, Symbol), StateId>,
-    delta_root: HashMap<(StateId, Symbol), StateId>,
-    delta_down: HashMap<(StateId, Symbol), SlenderLang>,
+    /// `cells[state][symbol]`, with `L↓` as `down`.
+    cells: Vec<Vec<Cell<Option<SlenderLang>>>>,
     /// Total classifier over the pair alphabet.
     up_classifier: Option<Dfa>,
-    /// classifier accepting state → assigned automaton state.
-    up_assign: HashMap<StateId, StateId>,
+    /// `up_assign[classifier state]`: the assigned automaton state.
+    up_assign: Vec<Option<StateId>>,
     stay: Option<StayBlock>,
 }
 
@@ -72,12 +70,9 @@ impl TwoWayUnrankedBuilder {
                 num_states: 0,
                 initial: StateId::from_index(0),
                 finals: Vec::new(),
-                polarity: Vec::new(),
-                delta_leaf: HashMap::new(),
-                delta_root: HashMap::new(),
-                delta_down: HashMap::new(),
+                cells: Vec::new(),
                 up_classifier: None,
-                up_assign: HashMap::new(),
+                up_assign: Vec::new(),
                 stay: None,
             },
             up_langs: Vec::new(),
@@ -90,9 +85,13 @@ impl TwoWayUnrankedBuilder {
         self.inner.num_states += 1;
         self.inner.finals.push(false);
         self.inner
-            .polarity
-            .push(vec![None; self.inner.alphabet_len]);
+            .cells
+            .push(vec![Cell::default(); self.inner.alphabet_len]);
         id
+    }
+
+    fn cell(&mut self, state: StateId, label: Symbol) -> &mut Cell<Option<SlenderLang>> {
+        &mut self.inner.cells[state.index()][label.index()]
     }
 
     /// Set the initial state.
@@ -109,14 +108,14 @@ impl TwoWayUnrankedBuilder {
 
     /// Put `(state, label)` into `U` or `D`.
     pub fn set_polarity(&mut self, state: StateId, label: Symbol, p: Polarity) -> &mut Self {
-        self.inner.polarity[state.index()][label.index()] = Some(p);
+        self.cell(state, label).polarity = Some(p);
         self
     }
 
     /// Put `(state, ·)` into `U` or `D` for every label.
     pub fn set_polarity_all(&mut self, state: StateId, p: Polarity) -> &mut Self {
-        for l in 0..self.inner.alphabet_len {
-            self.inner.polarity[state.index()][l] = Some(p);
+        for cell in &mut self.inner.cells[state.index()] {
+            cell.polarity = Some(p);
         }
         self
     }
@@ -124,19 +123,19 @@ impl TwoWayUnrankedBuilder {
     /// Define `L↓(state, label)` as a slender language over the *state*
     /// alphabet (symbol `i` = state `i`).
     pub fn set_down(&mut self, state: StateId, label: Symbol, lang: SlenderLang) -> &mut Self {
-        self.inner.delta_down.insert((state, label), lang);
+        self.cell(state, label).down = Some(lang);
         self
     }
 
     /// Define `δ_leaf(state, label) = next`.
     pub fn set_leaf(&mut self, state: StateId, label: Symbol, next: StateId) -> &mut Self {
-        self.inner.delta_leaf.insert((state, label), next);
+        self.cell(state, label).leaf = Some(next);
         self
     }
 
     /// Define `δ_root(state, label) = next`.
     pub fn set_root(&mut self, state: StateId, label: Symbol, next: StateId) -> &mut Self {
-        self.inner.delta_root.insert((state, label), next);
+        self.cell(state, label).root = Some(next);
         self
     }
 
@@ -159,42 +158,26 @@ impl TwoWayUnrankedBuilder {
         if m.num_states == 0 {
             return Err(Error::ill_formed("2DTAu", "no states"));
         }
-        let pol = |m: &TwoWayUnranked, q: StateId, s: Symbol| m.polarity[q.index()][s.index()];
-        // Sorted key order keeps the reported violation deterministic when
-        // more than one entry is ill-formed.
-        fn sorted_keys<V>(m: &HashMap<(StateId, Symbol), V>) -> Vec<(StateId, Symbol)> {
-            let mut v: Vec<(StateId, Symbol)> = m.keys().copied().collect();
-            v.sort();
-            v
-        }
-        for (q, s) in sorted_keys(&m.delta_leaf) {
-            if pol(m, q, s) != Some(Polarity::Down) {
-                return Err(Error::ill_formed(
-                    "2DTAu",
-                    format!("δ_leaf on non-D pair ({q:?}, {s:?})"),
-                ));
-            }
-        }
-        for (q, s) in sorted_keys(&m.delta_down) {
-            if pol(m, q, s) != Some(Polarity::Down) {
-                return Err(Error::ill_formed(
-                    "2DTAu",
-                    format!("L↓ on non-D pair ({q:?}, {s:?})"),
-                ));
-            }
-        }
-        for (q, s) in sorted_keys(&m.delta_root) {
-            if pol(m, q, s) != Some(Polarity::Up) {
-                return Err(Error::ill_formed(
-                    "2DTAu",
-                    format!("δ_root on non-U pair ({q:?}, {s:?})"),
-                ));
-            }
+        for (q, s, c) in pairs(&m.cells) {
+            let (down, up) = (Some(Polarity::Down), Some(Polarity::Up));
+            let misplaced = if c.leaf.is_some() && c.polarity != down {
+                "δ_leaf on non-D pair"
+            } else if c.down.is_some() && c.polarity != down {
+                "L↓ on non-D pair"
+            } else if c.root.is_some() && c.polarity != up {
+                "δ_root on non-U pair"
+            } else {
+                continue;
+            };
+            return Err(Error::ill_formed(
+                "2DTAu",
+                format!("{misplaced} ({q:?}, {s:?})"),
+            ));
         }
         let pal = pair_alphabet_len(m.num_states, m.alphabet_len);
         // Fold the up languages into one classifier, checking disjointness.
         let mut classifier: Option<Dfa> = None;
-        let mut assign: HashMap<StateId, StateId> = HashMap::new();
+        let mut assign: Vec<Option<StateId>> = Vec::new();
         for (q, dfa) in &self.up_langs {
             if dfa.alphabet_len() != pal {
                 return Err(Error::ill_formed(
@@ -205,12 +188,9 @@ impl TwoWayUnrankedBuilder {
             match classifier {
                 None => {
                     let total = dfa.totalize();
-                    for i in 0..total.num_states() {
-                        let cs = StateId::from_index(i);
-                        if total.is_accepting(cs) {
-                            assign.insert(cs, *q);
-                        }
-                    }
+                    assign = (0..total.num_states())
+                        .map(|i| total.is_accepting(StateId::from_index(i)).then_some(*q))
+                        .collect();
                     // classifier acceptance flags are irrelevant; assignment
                     // carries the information.
                     classifier = Some(total);
@@ -221,7 +201,7 @@ impl TwoWayUnrankedBuilder {
                     let mut prod = Dfa::new(pal);
                     let mut index: HashMap<(StateId, StateId), StateId> = HashMap::new();
                     let mut queue = std::collections::VecDeque::new();
-                    let mut new_assign: HashMap<StateId, StateId> = HashMap::new();
+                    let mut new_assign: Vec<Option<StateId>> = Vec::new();
                     let start = (old.initial(), new_total.initial());
                     let id = prod.add_state();
                     index.insert(start, id);
@@ -229,26 +209,17 @@ impl TwoWayUnrankedBuilder {
                     queue.push_back(start);
                     while let Some((a, b)) = queue.pop_front() {
                         let from = index[&(a, b)];
-                        let owner_old = assign.get(&a).copied();
-                        let owner_new = if new_total.is_accepting(b) {
-                            Some(*q)
-                        } else {
-                            None
-                        };
-                        match (owner_old, owner_new) {
+                        // FIFO order pops product states in the order they
+                        // were added, so `from` is the next assignment slot.
+                        debug_assert_eq!(from.index(), new_assign.len());
+                        match (assign[a.index()], new_total.is_accepting(b).then_some(*q)) {
                             (Some(x), Some(y)) if x != y => {
                                 return Err(Error::ill_formed(
                                     "2DTAu",
                                     format!("up languages overlap: L↑({x:?}) ∩ L↑({y:?}) ≠ ∅"),
                                 ));
                             }
-                            (Some(x), _) => {
-                                new_assign.insert(from, x);
-                            }
-                            (None, Some(y)) => {
-                                new_assign.insert(from, y);
-                            }
-                            (None, None) => {}
+                            (x, y) => new_assign.push(x.or(y)),
                         }
                         for sym_idx in 0..pal {
                             let sym = Symbol::from_index(sym_idx);
@@ -281,8 +252,7 @@ impl TwoWayUnrankedBuilder {
                 // classify-accepting = any product state with an assignment
                 let mut up_accepting = classifier.clone();
                 for i in 0..up_accepting.num_states() {
-                    let cs = StateId::from_index(i);
-                    up_accepting.set_accepting(cs, m.up_assign.contains_key(&cs));
+                    up_accepting.set_accepting(StateId::from_index(i), m.up_assign[i].is_some());
                 }
                 if !up_accepting.intersect(&stay.matcher).is_empty() {
                     return Err(Error::ill_formed("2DTAu", "U_stay overlaps an up language"));
@@ -331,22 +301,22 @@ impl TwoWayUnranked {
 
     /// The polarity of `(state, label)`.
     pub fn polarity(&self, state: StateId, label: Symbol) -> Option<Polarity> {
-        self.polarity[state.index()][label.index()]
+        self.cells[state.index()][label.index()].polarity
     }
 
     /// `L↓(state, label)`.
     pub fn down(&self, state: StateId, label: Symbol) -> Option<&SlenderLang> {
-        self.delta_down.get(&(state, label))
+        self.cells[state.index()][label.index()].down.as_ref()
     }
 
     /// `δ_leaf(state, label)`.
     pub fn leaf(&self, state: StateId, label: Symbol) -> Option<StateId> {
-        self.delta_leaf.get(&(state, label)).copied()
+        self.cells[state.index()][label.index()].leaf
     }
 
     /// `δ_root(state, label)`.
     pub fn root(&self, state: StateId, label: Symbol) -> Option<StateId> {
-        self.delta_root.get(&(state, label)).copied()
+        self.cells[state.index()][label.index()].root
     }
 
     /// The stay block, if the machine is generalized.
@@ -390,13 +360,7 @@ impl TwoWayUnranked {
                 hash_dfa(c, &mut h);
             }
         }
-        let mut assign: Vec<(usize, usize)> = self
-            .up_assign
-            .iter()
-            .map(|(k, v)| (k.index(), v.index()))
-            .collect();
-        assign.sort_unstable();
-        assign.hash(&mut h);
+        self.up_assign.hash(&mut h);
         match &self.stay {
             None => 0u8.hash(&mut h),
             Some(s) => {
@@ -415,7 +379,7 @@ impl TwoWayUnranked {
         for &(q, l) in pairs {
             cs = classifier.next(cs, pair_symbol(q, l, self.alphabet_len))?;
         }
-        self.up_assign.get(&cs).copied()
+        self.up_assign[cs.index()]
     }
 
     /// Whether a children pair-string lies in `U_stay`.
@@ -1032,7 +996,85 @@ mod tests {
         };
         b.add_up_language(q0, mk());
         b.add_up_language(q1, mk());
-        assert!(b.build().is_err());
+        assert_eq!(
+            b.build().unwrap_err().to_string(),
+            "ill-formed automaton (2DTAu): up languages overlap: L↑(q0) ∩ L↑(q1) ≠ ∅"
+        );
+
+        // Two ill-formed entries: the scan goes pair by pair, state-major,
+        // and names the first pair holding any misplaced transition.
+        let mut b = TwoWayUnrankedBuilder::new(2);
+        let q0 = b.add_state();
+        let q1 = b.add_state();
+        b.set_polarity_all(q0, Polarity::Up);
+        b.set_leaf(q1, sym(0), q1);
+        b.set_down(q0, sym(1), SlenderLang::uniform(sym(0)));
+        assert_eq!(
+            b.build().unwrap_err().to_string(),
+            "ill-formed automaton (2DTAu): L↓ on non-D pair (q0, s1)"
+        );
+    }
+
+    #[test]
+    fn rows_agree_with_a_reference_map_while_they_grow() {
+        use qa_base::rng::{Rng, StdRng};
+        use std::collections::BTreeMap;
+        let mut rng = StdRng::seed_from_u64(0x2da8);
+        let mut overwrites = 0;
+        for round in 0..60 {
+            let sigma = rng.gen_range(1..=3);
+            let mut b = TwoWayUnrankedBuilder::new(sigma);
+            let mut polarity = BTreeMap::new();
+            let mut leaf = BTreeMap::new();
+            let mut root = BTreeMap::new();
+            let mut down = BTreeMap::new();
+            let mut states = 0;
+            // add_state interleaved with writes, so rows grow after they
+            // already hold transitions
+            for _ in 0..rng.gen_range(1..64) {
+                if states == 0 || (states < 5 && rng.gen_bool(0.15)) {
+                    b.add_state();
+                    states += 1;
+                    continue;
+                }
+                let (q, s) = (rng.gen_range(0..states), rng.gen_range(0..sigma));
+                let (qs, ss) = (StateId::from_index(q), sym(s));
+                let next = StateId::from_index(rng.gen_range(0..states));
+                let replaced = match rng.gen_range(0..4) {
+                    0 => {
+                        let p = [Polarity::Up, Polarity::Down][rng.gen_range(0..2)];
+                        b.set_polarity(qs, ss, p);
+                        polarity.insert((q, s), p).is_some()
+                    }
+                    1 => {
+                        b.set_leaf(qs, ss, next);
+                        leaf.insert((q, s), next).is_some()
+                    }
+                    2 => {
+                        b.set_root(qs, ss, next);
+                        root.insert((q, s), next).is_some()
+                    }
+                    _ => {
+                        // L↓ = next⁺, told apart by the state it repeats
+                        b.set_down(qs, ss, SlenderLang::uniform(sym(next.index())));
+                        down.insert((q, s), sym(next.index())).is_some()
+                    }
+                };
+                overwrites += usize::from(replaced);
+            }
+            let m = &b.inner;
+            for (q, s) in (0..states).flat_map(|q| (0..sigma).map(move |s| (q, s))) {
+                let (qs, ss) = (StateId::from_index(q), sym(s));
+                let at = format!("round {round}: ({q}, {s})");
+                assert_eq!(m.polarity(qs, ss), polarity.get(&(q, s)).copied(), "{at}");
+                assert_eq!(m.leaf(qs, ss), leaf.get(&(q, s)).copied(), "{at}");
+                assert_eq!(m.root(qs, ss), root.get(&(q, s)).copied(), "{at}");
+                let got = m.down(qs, ss).map(|l| l.string_of_length(2));
+                let want = down.get(&(q, s)).map(|&x| Some(vec![x, x]));
+                assert_eq!(got, want, "{at}");
+            }
+        }
+        assert!(overwrites > 0);
     }
 
     #[test]
