@@ -28,6 +28,7 @@ pub enum Polarity {
 /// arity) or the unranked machine's `L↓`.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Cell<D> {
+    /// `None`: the pair is in neither `U` nor `D`.
     pub(crate) polarity: Option<Polarity>,
     pub(crate) leaf: Option<StateId>,
     pub(crate) root: Option<StateId>,
