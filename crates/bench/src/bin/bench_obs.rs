@@ -522,9 +522,12 @@ const MAX_SERVE_EXTRA_NS_PER_STEP: f64 = 10.0;
 /// daemon's default budget against `eval_unranked_with(NoopObserver)`,
 /// timed in interleaved single runs (median of each), so drifting load
 /// on a shared machine hits both sides alike. Asserts that both select
-/// the same nodes; returns whether the row is within its bound.
+/// the same nodes as the ranked Figure 5 run on the explicit
+/// first-child/next-sibling encoding; returns whether the row is within
+/// its bound.
 fn serve_eval_within_budget() -> bool {
     use qa_flight::Budget;
+    use qa_mso::{query_eval, unranked};
     use qa_obs::{Counter, NoopObserver, Tally};
     use std::time::{Duration, Instant};
 
@@ -549,6 +552,19 @@ fn serve_eval_within_budget() -> bool {
     let steps = counted.get(Counter::Steps).max(1);
     let served: Vec<_> = serve().selected.into_iter().map(|(v, _)| v).collect();
     assert_eq!(served, plain, "serve eval selects what the bare run does");
+    let formula = qa_mso::parse("label(v, a)", &mut alphabet).expect("label(v, a) parses");
+    let d = unranked::compile_unary(&formula, "v", alphabet.len()).expect("compiles");
+    let (enc, map) = qa_trees::fcns::encode_with_map(&tree, unranked::nil_symbol(alphabet.len()));
+    let sigma_enc = unranked::encoded_alphabet_len(alphabet.len());
+    let mut encoded: Vec<_> = query_eval::eval_unary_ranked(&d, &enc, sigma_enc)
+        .into_iter()
+        .filter_map(|v| map[v.index()])
+        .collect();
+    encoded.sort_unstable();
+    assert_eq!(
+        plain, encoded,
+        "serve eval selects what Figure 5 on the encoding does"
+    );
 
     let time = |f: &mut dyn FnMut()| {
         let start = Instant::now();

@@ -117,6 +117,7 @@ impl<T: Clone> Table<T> {
 
     /// The slot of `δ(children, label)`, or `None` when the arity, the
     /// label or a child is out of range.
+    #[inline]
     fn slot(&self, children: &[StateId], label: Symbol) -> Option<usize> {
         if label.index() >= self.alphabet_len {
             return None;
@@ -132,6 +133,7 @@ impl<T: Clone> Table<T> {
         Some(offset + row * self.alphabet_len + label.index())
     }
 
+    #[inline]
     fn get(&self, children: &[StateId], label: Symbol) -> Option<&T> {
         self.slot(children, label).map(|i| &self.slots[i])
     }
@@ -289,6 +291,7 @@ impl Dbta {
 
     /// `δ(children, label)`, if defined; `None` as well for an arity above
     /// the rank, a label outside the alphabet or an unknown child state.
+    #[inline]
     pub fn transition(&self, children: &[StateId], label: Symbol) -> Option<StateId> {
         self.delta
             .get(children, label)

@@ -8,10 +8,20 @@
 //! node's verdict in one bottom-up pass (subtree states, the
 //! `τ(t_v, v)` analogue) and one top-down pass (context tables, the
 //! `τ(t̄_v, v)` analogue): `O(n · |Q|)` overall.
+//!
+//! Unranked queries are compiled over the first-child/next-sibling (FCNS)
+//! encoding (see [`crate::unranked`]). [`PreparedUnary::eval_unranked_with`]
+//! runs Figure 6 on that encoding *implicitly*: it walks the unranked tree
+//! itself, keeping per node the states of its child chain and of its
+//! later-sibling chain, and never builds the `2n + 1`-node encoded tree or
+//! a context for its `n + 1` `nil` leaves. Selections come back in
+//! ascending [`NodeId`] order (document order for parsed documents), and
+//! every event names unranked node ids. [`qa_trees::fcns::encode_with_map`]
+//! remains for the naive reference, which marks encoded nodes.
 
 use qa_base::Symbol;
 use qa_core::ranked::{ops, Dbta};
-use qa_obs::{Counter, Machine, NoopObserver, Observer, Series, Tee};
+use qa_obs::{Counter, Machine, NoopObserver, Observer, Series};
 use qa_strings::StateId;
 use qa_trees::{NodeId, Tree};
 
@@ -58,14 +68,20 @@ pub fn eval_unary_ranked_with<O: Observer>(
 pub struct PreparedUnary {
     total: Dbta,
     sigma: usize,
+    /// The state of a `nil` leaf of the first-child/next-sibling encoding
+    /// (`None` if the automaton has no such leaf transition).
+    nil: Option<StateId>,
 }
 
 impl PreparedUnary {
     /// Prepare `d` (compiled over `Σ × {0,1}` for a base alphabet of
     /// `sigma` symbols) by totalizing it now.
     pub fn new(d: &Dbta, sigma: usize) -> Self {
+        let total = ops::totalize(d);
+        let nil = ext_symbol(nil_symbol(sigma), 0, encoded_alphabet_len(sigma));
         PreparedUnary {
-            total: ops::totalize(d),
+            nil: total.transition(&[], nil),
+            total,
             sigma,
         }
     }
@@ -92,22 +108,13 @@ impl PreparedUnary {
 
     /// [`eval_unary_unranked_with`] against the pre-totalized automaton.
     pub fn eval_unranked_with<O: Observer>(&self, tree: &Tree, obs: &mut O) -> Vec<NodeId> {
-        obs.phase_start("fcns encoding");
-        let (enc, map) = qa_trees::fcns::encode_with_map(tree, nil_symbol(self.sigma));
-        obs.phase_end("fcns encoding");
-        let selected_enc = eval_total(&self.total, &enc, encoded_alphabet_len(self.sigma), obs);
-        selected_enc
-            .into_iter()
-            .filter_map(|ev| map[ev.index()])
-            .collect()
+        self.fig6(tree, obs, |v, _| v).unwrap_or_default()
     }
 
     /// Like [`eval_unranked_with`](Self::eval_unranked_with), but pairs
-    /// every selected node with its Figure 5 certificate: the state the
+    /// every selected node with its Figure 6 certificate: the state the
     /// bottom-up run reaches on the *marked* node, whose context maps it
-    /// to an accepting root. The certificate is captured from the
-    /// [`Observer::selected`] events of the ranked run on the FCNS
-    /// encoding and mapped back to the unranked tree, so the node list
+    /// to an accepting root. The same run yields both, so the node list
     /// (and its order) is identical to `eval_unranked_with`. A serving
     /// daemon uses this for `why_selected` provenance.
     pub fn eval_unranked_explained<O: Observer>(
@@ -115,38 +122,152 @@ impl PreparedUnary {
         tree: &Tree,
         obs: &mut O,
     ) -> Vec<(NodeId, u32)> {
-        obs.phase_start("fcns encoding");
-        let (enc, map) = qa_trees::fcns::encode_with_map(tree, nil_symbol(self.sigma));
-        obs.phase_end("fcns encoding");
-        let mut tee = Tee(&mut *obs, Picks(Vec::new()));
-        let _ = eval_total(
-            &self.total,
-            &enc,
-            encoded_alphabet_len(self.sigma),
-            &mut tee,
-        );
-        let Tee(_, Picks(picks)) = tee;
-        picks
-            .into_iter()
-            .filter_map(|(pos, state)| map[pos as usize].map(|v| (v, state)))
-            .collect()
+        self.fig6(tree, obs, |v, q| (v, q.index() as u32))
+            .unwrap_or_default()
+    }
+
+    /// The Figure 6 two-pass algorithm on the *implicit* first-child/
+    /// next-sibling encoding of `tree`: the encoded node of `v` has
+    /// `left[v]` (the state of `v`'s child chain) and `right[v]` (the
+    /// state of the chain of `v`'s later siblings) as its two children,
+    /// either one the `nil`-leaf state when the chain is empty. Nothing is
+    /// encoded and `nil` leaves get no context. Each selected node `v` in
+    /// ascending id order, with its marked state, goes through `pick`.
+    ///
+    /// It relies on [`Tree`]'s arena order: a node's id is larger than its
+    /// parent's and its earlier siblings', so descending ids visit
+    /// children first and ascending ids visit parents first.
+    ///
+    /// Each pass counts `2` [`Counter::Steps`] per node and `1` more at
+    /// the root, then polls [`Observer::checkpoint`]: a node stands for
+    /// itself and the `nil` leaf closing its child chain (its own left
+    /// `nil` if it is a leaf, its last child's right `nil` otherwise); the
+    /// root also for its own right `nil`. That is the `2n + 1` nodes of
+    /// the encoding per pass, so budgets read as for the encoded run.
+    /// `None` when a budget trips or a transition is missing.
+    fn fig6<O: Observer, T>(
+        &self,
+        tree: &Tree,
+        obs: &mut O,
+        mut pick: impl FnMut(NodeId, StateId) -> T,
+    ) -> Option<Vec<T>> {
+        let d = &self.total;
+        obs.record(Series::MachineStates, d.num_states() as u64);
+        let nil = self.nil?;
+        let enc_sigma = encoded_alphabet_len(self.sigma);
+        let unmarked = |v: NodeId| ext_symbol(tree.label(v), 0, enc_sigma);
+        let n = tree.num_nodes();
+        let step = |obs: &mut O, v: NodeId| {
+            obs.count(Counter::Steps, if v == tree.root() { 3 } else { 2 });
+            obs.checkpoint().ok()
+        };
+
+        // Pass 1 (bottom-up): fold each node's children right to left.
+        let mut left = vec![nil; n];
+        let mut right = vec![nil; n];
+        phase(obs, "bottom-up pass", |obs| {
+            for v in (0..n).rev().map(NodeId::from_index) {
+                step(obs, v)?;
+                let kids = tree.children(v);
+                obs.count(Counter::TableLookups, kids.len() as u64);
+                let mut chain = nil;
+                for &c in kids.iter().rev() {
+                    right[c.index()] = chain;
+                    let ext = unmarked(c);
+                    chain = d.transition(&[left[c.index()], right[c.index()]], ext)?;
+                    obs.state_visit(Machine::Dbtar, chain.index() as u32, ext.index() as u32);
+                    if obs.is_enabled() {
+                        for from in [left[c.index()], right[c.index()]] {
+                            obs.transition_fired(
+                                Machine::Dbtar,
+                                from.index() as u32,
+                                ext.index() as u32,
+                                chain.index() as u32,
+                            );
+                        }
+                    }
+                }
+                left[v.index()] = chain;
+            }
+            Some(())
+        })?;
+
+        // Pass 2 (top-down): ctx[v·|Q| + q] = root state if v's encoded
+        // subtree evaluated to q. A first child's context comes through
+        // its parent's left slot, a later child's through its previous
+        // sibling's right slot.
+        let nq = d.num_states();
+        let mut ctx = vec![StateId::from_index(0); n * nq];
+        for (q, slot) in ctx[..nq].iter_mut().enumerate() {
+            *slot = StateId::from_index(q);
+        }
+        phase(obs, "top-down pass", |obs| {
+            for v in (0..n).map(NodeId::from_index) {
+                step(obs, v)?;
+                // `from` is the encoded parent of c: v for the first
+                // child (c in its left slot), else c's previous sibling
+                // (c in its right slot)
+                let mut from = v;
+                for &c in tree.children(v) {
+                    let ext = unmarked(from);
+                    let (done, rest) = ctx.split_at_mut(c.index() * nq);
+                    let outer = &done[from.index() * nq..][..nq];
+                    obs.count(Counter::TableLookups, nq as u64);
+                    for (q, slot) in rest[..nq].iter_mut().enumerate() {
+                        let q = StateId::from_index(q);
+                        let pair = if from == v {
+                            [q, right[v.index()]]
+                        } else {
+                            [left[from.index()], q]
+                        };
+                        let here = d.transition(&pair, ext)?;
+                        obs.state_visit(Machine::Dbtar, here.index() as u32, ext.index() as u32);
+                        *slot = outer[here.index()];
+                    }
+                    from = c;
+                }
+            }
+            Some(())
+        })?;
+
+        // Verdicts: replace v's encoded subtree state by its marked variant.
+        phase(obs, "verdicts", |obs| {
+            let mut out = Vec::new();
+            for v in (0..n).map(NodeId::from_index) {
+                step(obs, v)?;
+                obs.count(Counter::SelectionChecks, 1);
+                let ext = ext_symbol(tree.label(v), 1, enc_sigma);
+                let Some(q) = d.transition(&[left[v.index()], right[v.index()]], ext) else {
+                    continue;
+                };
+                obs.state_visit(Machine::Dbtar, q.index() as u32, ext.index() as u32);
+                if d.is_final(ctx[v.index() * nq + q.index()]) {
+                    // certificate: marking v drives the encoded run into
+                    // q, and v's context maps that to an accepting root.
+                    obs.config(q.index() as u32, v.index() as u32, 0);
+                    obs.selected(
+                        v.index() as u32,
+                        q.index() as u32,
+                        tree.label(v).index() as u32,
+                    );
+                    out.push(pick(v, q));
+                }
+            }
+            Some(out)
+        })
     }
 }
 
-/// Captures the `(node, marked_state)` pairs of [`Observer::selected`]
-/// events; teed beside the caller's observer, which alone decides whether
-/// the run is observed.
-struct Picks(Vec<(u32, u32)>);
-
-impl Observer for Picks {
-    #[inline]
-    fn selected(&mut self, pos: u32, state: u32, _sym: u32) {
-        self.0.push((pos, state));
-    }
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        false
-    }
+/// Run `body` as the phase `name`, closing the phase on every exit.
+fn phase<O: Observer, T>(
+    obs: &mut O,
+    name: &'static str,
+    body: impl FnOnce(&mut O) -> Option<T>,
+) -> Option<T> {
+    obs.phase_start(name);
+    let out = body(obs);
+    obs.phase_end(name);
+    out
 }
 
 /// The Figure 5 two-pass algorithm on an already-total automaton.
@@ -266,28 +387,21 @@ fn eval_total<O: Observer>(d: &Dbta, tree: &Tree, sigma: usize, obs: &mut O) -> 
     out
 }
 
-/// Figure 6 for unranked trees: encode (first-child/next-sibling), run the
-/// ranked two-pass on the encoding, and map selected encoded nodes back.
+/// Figure 6 for unranked trees: the two passes on the implicit
+/// first-child/next-sibling encoding (see [`PreparedUnary`]).
 pub fn eval_unary_unranked(d: &Dbta, tree: &Tree, sigma: usize) -> Vec<NodeId> {
     eval_unary_unranked_with(d, tree, sigma, &mut NoopObserver)
 }
 
-/// [`eval_unary_unranked`] with an [`Observer`]: the FCNS encoding runs as
-/// its own phase, then delegates to [`eval_unary_ranked_with`].
+/// [`eval_unary_unranked`] with an [`Observer`]: totalizes `d`, then runs
+/// [`PreparedUnary::eval_unranked_with`].
 pub fn eval_unary_unranked_with<O: Observer>(
     d: &Dbta,
     tree: &Tree,
     sigma: usize,
     obs: &mut O,
 ) -> Vec<NodeId> {
-    obs.phase_start("fcns encoding");
-    let (enc, map) = qa_trees::fcns::encode_with_map(tree, nil_symbol(sigma));
-    obs.phase_end("fcns encoding");
-    let selected_enc = eval_unary_ranked_with(d, &enc, encoded_alphabet_len(sigma), obs);
-    selected_enc
-        .into_iter()
-        .filter_map(|ev| map[ev.index()])
-        .collect()
+    PreparedUnary::new(d, sigma).eval_unranked_with(tree, obs)
 }
 
 /// Naive per-node evaluation for unranked trees. `O(n²)`.

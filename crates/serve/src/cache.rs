@@ -36,7 +36,8 @@ pub struct CompiledQuery {
     pub sigma: usize,
     /// States of the compiled (pre-totalization) automaton.
     pub states: usize,
-    /// The totalized evaluator (Figure 6 two-pass, FCNS-encoded).
+    /// The totalized evaluator (Figure 6 two-pass on the implicit FCNS
+    /// encoding).
     pub prepared: PreparedUnary,
 }
 

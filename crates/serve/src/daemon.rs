@@ -20,6 +20,10 @@
 //! runaway query aborts gracefully inside its worker and the client gets
 //! `408` with the tripped budget, never a hung connection.
 //!
+//! A query's `selected` nodes (and its `why_selected` certificates) come
+//! back in ascending node id order, which is document order for every
+//! stored document: the Figure 6 run walks the stored tree itself.
+//!
 //! Each evaluation ([`evaluate`]) counts its events in a plain per-job
 //! [`Tally`] and folds it into the served [`Metrics`] registry once,
 //! before the result is sent back. Workers therefore never contend on the

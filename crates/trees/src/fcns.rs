@@ -29,16 +29,17 @@ pub fn encode_with_map(t: &Tree, nil: Symbol) -> (Tree, Vec<Option<NodeId>>) {
         }
         map[enc.index()] = src;
     };
-    // stack of (source node, encoded node) whose two children remain to add
-    let mut stack = vec![(t.root(), out.root())];
-    while let Some((src, dst)) = stack.pop() {
+    // stack of (source node, its position among its siblings, encoded
+    // node) whose two children remain to add
+    let mut stack = vec![(t.root(), 0, out.root())];
+    while let Some((src, pos, dst)) = stack.pop() {
         debug_assert!(t.label(src) != nil, "nil label occurs in the source tree");
         // left = first child
         match t.children(src).first() {
             Some(&fc) => {
                 let d = out.add_child(dst, t.label(fc));
                 record(&mut map, d, Some(fc));
-                stack.push((fc, d));
+                stack.push((fc, 0, d));
             }
             None => {
                 let d = out.add_child(dst, nil);
@@ -46,11 +47,12 @@ pub fn encode_with_map(t: &Tree, nil: Symbol) -> (Tree, Vec<Option<NodeId>>) {
             }
         }
         // right = next sibling
-        match next_sibling(t, src) {
-            Some(ns) => {
+        let siblings = t.parent(src).map_or(&[][..], |p| t.children(p));
+        match siblings.get(pos + 1) {
+            Some(&ns) => {
                 let d = out.add_child(dst, t.label(ns));
                 record(&mut map, d, Some(ns));
-                stack.push((ns, d));
+                stack.push((ns, pos + 1, d));
             }
             None => {
                 let d = out.add_child(dst, nil);

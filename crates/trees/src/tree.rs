@@ -17,6 +17,9 @@ struct Node {
 /// notation is `tree.child(v, i - 1)`. Construction is either incremental
 /// ([`Tree::leaf`] + [`Tree::add_child`]) or compositional
 /// ([`Tree::node`], grafting subtree arenas — the paper's `σ(t₁, …, tₙ)`).
+/// Either way nodes are only ever appended, so a node's id is larger than
+/// its parent's and its earlier siblings': ascending ids visit parents
+/// before children, descending ids children before parents.
 ///
 /// ```
 /// use qa_base::Alphabet;
@@ -392,6 +395,22 @@ mod tests {
         assert_eq!(pre, vec!["f", "g", "x", "y", "y"]);
         let post: Vec<&str> = t.postorder().iter().map(|&v| a.name(t.label(v))).collect();
         assert_eq!(post, vec!["x", "y", "g", "y", "f"]);
+    }
+
+    #[test]
+    fn ids_grow_from_parents_and_earlier_siblings() {
+        let (mut t, a) = sample();
+        // interleave appends under different parents, then graft
+        let g = t.child(t.root(), 0);
+        t.add_child(t.root(), a.symbol("x"));
+        t.add_child(g, a.symbol("y"));
+        let sub = t.clone();
+        t.graft(g, &sub);
+        for v in t.nodes() {
+            let kids = t.children(v);
+            assert!(kids.iter().all(|&c| c > v));
+            assert!(kids.windows(2).all(|w| w[0] < w[1]));
+        }
     }
 
     #[test]
