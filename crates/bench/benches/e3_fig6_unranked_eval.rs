@@ -1,7 +1,7 @@
 //! E3 (Figure 6 / Theorem 5.17): unranked unary-query evaluation — the
-//! two-pass algorithm over the FCNS encoding is linear, naive quadratic;
-//! the hand-built Example 5.14 SQAu run sits in between (linear, bigger
-//! constant from the cut engine).
+//! two-pass algorithm on the implicit FCNS encoding is linear, naive
+//! quadratic; the hand-built Example 5.14 SQAu run is linear too, with a
+//! bigger constant from the cut engine.
 
 use qa_bench::Harness;
 

@@ -174,10 +174,11 @@ fn selected_events_name_unranked_nodes() {
     assert_eq!(seen.selected[0].0, 3, "the selected event names node 3");
     assert_eq!(seen.configs, [3]);
 
+    let trees = shapes(67);
     for src in FORMULAS {
         let mut alphabet = served_alphabet();
         let prepared = PreparedUnary::new(&compile(src, &mut alphabet), SIGMA);
-        for t in &shapes(67)[..20] {
+        for t in &trees[..20] {
             let explained = prepared.eval_unranked_explained(t, &mut NoopObserver);
             let mut seen = Verdicts::default();
             let selected = prepared.eval_unranked_with(t, &mut seen);
@@ -221,8 +222,7 @@ fn steps_are_those_of_the_encoded_run_and_budgets_bind_exactly() {
     let mut alphabet = served_alphabet();
     let d = compile("label(v, a)", &mut alphabet);
     let prepared = PreparedUnary::new(&d, SIGMA);
-    let trees = shapes(71);
-    for t in trees.iter().filter(|t| t.num_nodes() > 1).step_by(3) {
+    for t in &shapes(71) {
         let full = 3 * (2 * t.num_nodes() as u64 + 1);
         let mut tally = Tally::new();
         let plain = prepared.eval_unranked_with(t, &mut tally);
