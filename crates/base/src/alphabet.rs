@@ -58,6 +58,14 @@ impl Alphabet {
         s
     }
 
+    /// Forget the symbols from index `len` on, undoing the interns made
+    /// since the alphabet had `len` symbols.
+    pub fn truncate(&mut self, len: usize) {
+        for name in self.names.drain(len.min(self.names.len())..) {
+            self.by_name.remove(&name);
+        }
+    }
+
     /// Look up an already-interned symbol by name.
     pub fn get(&self, name: &str) -> Option<Symbol> {
         self.by_name.get(name).copied()
@@ -180,6 +188,17 @@ mod tests {
         let mut a = Alphabet::new();
         let w = a.intern_str("aba");
         assert_eq!(a.word("aba"), w);
+    }
+
+    #[test]
+    fn truncate_forgets_later_interns() {
+        let mut a = Alphabet::from_names(["x", "y"]);
+        a.intern("z");
+        a.truncate(2);
+        assert_eq!(a, Alphabet::from_names(["x", "y"]));
+        assert_eq!(a.intern("z").index(), 2);
+        a.truncate(7);
+        assert_eq!(a.len(), 3);
     }
 
     #[test]

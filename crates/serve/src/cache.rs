@@ -5,12 +5,20 @@
 //! non-elementary direction of the paper's equivalence; evaluating the
 //! compiled automaton is linear per document (Figure 6). A serving
 //! daemon therefore compiles once and evaluates many times: the cache
-//! key is `(FNV-1a(formula), σ)` where `σ` is the shared alphabet size
-//! *after* parsing the formula. The `σ` component is what keeps a
+//! key is `(FNV-1a(formula), σ)` where `σ` is the size of the alphabet
+//! the formula was parsed against. The `σ` component is what keeps a
 //! growing document store sound — ingesting a document with fresh
 //! labels bumps `σ`, old entries stop matching, and the next request
 //! recompiles against the larger alphabet instead of running an
 //! automaton that has never seen the new symbols.
+//!
+//! [`QueryCache::compile`] is four steps, which the daemon calls one by
+//! one so that it holds the cache mutex only for the bookkeeping:
+//! `ParsedQuery::parse` and `ParsedQuery::compile` touch no cache,
+//! `QueryCache::lookup` and `QueryCache::insert` do nothing else. Two
+//! requests that miss on the same key at once both compile; the first
+//! insert stays resident and the second gets it back, so every caller
+//! shares one automaton per key.
 //!
 //! Compilation is deterministic, so a recompile after eviction (or a
 //! cold restart) yields the same automaton and byte-identical query
@@ -20,7 +28,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use qa_base::{Alphabet, Error, Result};
-use qa_mso::{parse, PreparedUnary};
+use qa_mso::{parse, Formula, PreparedUnary};
 use qa_obs::{Counter, Metrics};
 
 /// One compiled query, shared between the cache and in-flight requests.
@@ -39,6 +47,63 @@ pub struct CompiledQuery {
     /// The totalized evaluator (Figure 6 two-pass on the implicit FCNS
     /// encoding).
     pub prepared: PreparedUnary,
+}
+
+/// A formula parsed against an alphabet, not yet compiled: the output of
+/// [`ParsedQuery::parse`], the input of [`ParsedQuery::compile`] and the
+/// key of [`QueryCache::lookup`].
+#[derive(Debug)]
+pub(crate) struct ParsedQuery {
+    text: String,
+    hash: u64,
+    /// Alphabet size after parsing: the σ the automaton must cover.
+    sigma: usize,
+    var: String,
+    formula: Formula,
+}
+
+impl ParsedQuery {
+    /// Parse `formula` against `alphabet`, interning the labels it names,
+    /// and check that it has exactly one free variable, a node variable.
+    pub(crate) fn parse(formula: &str, alphabet: &mut Alphabet) -> Result<ParsedQuery> {
+        let text = formula.trim();
+        let parsed = parse(text, alphabet)?;
+        let free = parsed.free_vars();
+        let var = match free.as_slice() {
+            [v] if v.chars().next().is_some_and(|c| c.is_lowercase()) => v.clone(),
+            _ => {
+                let msg = format!(
+                    "a unary query needs exactly one free node variable, found {free:?} in `{text}`"
+                );
+                return Err(Error::parse("query", msg));
+            }
+        };
+        Ok(ParsedQuery {
+            text: text.to_string(),
+            hash: qa_obs::fnv1a64(text.as_bytes()),
+            sigma: alphabet.len(),
+            var,
+            formula: parsed,
+        })
+    }
+
+    /// Compile to the totalized Figure 6 evaluator over σ labels, counting
+    /// one `query_compiles` on `metrics` when attached. Touches no cache,
+    /// so it can run with no lock held.
+    pub(crate) fn compile(self, metrics: Option<&Metrics>) -> Result<CompiledQuery> {
+        let automaton = qa_mso::unranked::compile_unary(&self.formula, &self.var, self.sigma)?;
+        if let Some(m) = metrics {
+            m.count(Counter::QueryCompiles, 1);
+        }
+        Ok(CompiledQuery {
+            states: automaton.num_states(),
+            prepared: PreparedUnary::new(&automaton, self.sigma),
+            formula: self.text,
+            hash: self.hash,
+            var: self.var,
+            sigma: self.sigma,
+        })
+    }
 }
 
 #[derive(Debug)]
@@ -78,6 +143,10 @@ impl QueryCache {
     /// alphabet of the same size. Parsing interns any labels the formula
     /// mentions, so compilation and the documents agree on symbol ids.
     ///
+    /// This is `ParsedQuery::parse`, `QueryCache::lookup`, and on a miss
+    /// `ParsedQuery::compile` then `QueryCache::insert`; the daemon runs
+    /// the parse and the compile with no lock held.
+    ///
     /// Cache traffic is counted on `metrics` when attached:
     /// `cache_hits` / `cache_misses` per lookup, `query_compiles` per
     /// compile paid, `cache_evictions` per LRU eviction.
@@ -103,47 +172,52 @@ impl QueryCache {
         alphabet: &mut Alphabet,
         metrics: Option<&Metrics>,
     ) -> Result<Arc<CompiledQuery>> {
-        let text = formula.trim();
-        let hash = qa_obs::fnv1a64(text.as_bytes());
-        // Parse first: it interns the formula's labels, fixing the σ the
-        // compiled automaton must cover. Parsing is linear in the formula
-        // and idempotent on the alphabet, so paying it on hits too keeps
-        // the key exact.
-        let parsed = parse(text, alphabet)?;
-        let sigma = alphabet.len();
+        let parsed = ParsedQuery::parse(formula, alphabet)?;
+        if let Some(hit) = self.lookup(&parsed, metrics) {
+            return Ok(hit);
+        }
+        let compiled = parsed.compile(metrics)?;
+        Ok(self.insert(compiled, metrics))
+    }
+
+    /// The resident compilation of `query`'s `(hash, σ)` key, if any,
+    /// counted as a hit or a miss.
+    pub(crate) fn lookup(
+        &mut self,
+        query: &ParsedQuery,
+        metrics: Option<&Metrics>,
+    ) -> Option<Arc<CompiledQuery>> {
         self.tick += 1;
-        if let Some(entry) = self.entries.get_mut(&(hash, sigma)) {
-            entry.last_used = self.tick;
-            entry.hits += 1;
-            self.hits += 1;
+        let Some(entry) = self.entries.get_mut(&(query.hash, query.sigma)) else {
+            self.misses += 1;
             if let Some(m) = metrics {
-                m.count(Counter::CacheHits, 1);
+                m.count(Counter::CacheMisses, 1);
             }
-            return Ok(Arc::clone(&entry.query));
-        }
-        self.misses += 1;
-        if let Some(m) = metrics {
-            m.count(Counter::CacheMisses, 1);
-        }
-        let free = parsed.free_vars();
-        let node_vars: Vec<&String> = free
-            .iter()
-            .filter(|v| v.chars().next().is_some_and(|c| c.is_lowercase()))
-            .collect();
-        let var = match (node_vars.as_slice(), free.len()) {
-            ([v], 1) => (*v).clone(),
-            _ => {
-                let msg = format!(
-                    "a unary query needs exactly one free node variable, found {free:?} in `{text}`"
-                );
-                return Err(Error::parse("query", msg));
-            }
+            return None;
         };
-        let automaton = qa_mso::unranked::compile_unary(&parsed, &var, sigma)?;
-        let states = automaton.num_states();
-        let prepared = PreparedUnary::new(&automaton, sigma);
+        entry.last_used = self.tick;
+        entry.hits += 1;
+        self.hits += 1;
         if let Some(m) = metrics {
-            m.count(Counter::QueryCompiles, 1);
+            m.count(Counter::CacheHits, 1);
+        }
+        Some(Arc::clone(&entry.query))
+    }
+
+    /// Make `query` resident, evicting the least-recently-used entry when
+    /// the cache is full, and return the shared copy. When a concurrent
+    /// compile already inserted the same key, that entry stays and is
+    /// returned instead.
+    pub(crate) fn insert(
+        &mut self,
+        query: CompiledQuery,
+        metrics: Option<&Metrics>,
+    ) -> Arc<CompiledQuery> {
+        self.tick += 1;
+        let key = (query.hash, query.sigma);
+        if let Some(entry) = self.entries.get_mut(&key) {
+            entry.last_used = self.tick;
+            return Arc::clone(&entry.query);
         }
         if self.entries.len() >= self.capacity {
             let lru = self
@@ -158,23 +232,16 @@ impl QueryCache {
                 m.count(Counter::CacheEvictions, 1);
             }
         }
-        let query = Arc::new(CompiledQuery {
-            formula: text.to_string(),
-            hash,
-            var,
-            sigma,
-            states,
-            prepared,
-        });
+        let query = Arc::new(query);
         self.entries.insert(
-            (hash, sigma),
+            key,
             Entry {
                 query: Arc::clone(&query),
                 last_used: self.tick,
                 hits: 0,
             },
         );
-        Ok(query)
+        query
     }
 
     /// `(hits, misses, evictions)` since construction.
@@ -255,6 +322,41 @@ mod tests {
             .is_err());
         // Two free node variables.
         assert!(cache.compile("edge(v, w)", &mut a, None).is_err());
+    }
+
+    #[test]
+    fn concurrent_cold_compiles_of_one_formula_share_the_first_insert() {
+        let mut a = alphabet();
+        let t = qa_trees::sexpr::from_sexpr("(a (b c) (b b) c)", &mut a).unwrap();
+        let formula = "leaf(v) & label(v, b)";
+        let batch = QueryCache::new(1)
+            .compile(formula, &mut a.clone(), None)
+            .unwrap()
+            .prepared
+            .eval_unranked(&t);
+        let cache = std::sync::Mutex::new(QueryCache::new(8));
+        let both_missed = std::sync::Barrier::new(2);
+        let served: Vec<Arc<CompiledQuery>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (cache, both_missed, mut a) = (&cache, &both_missed, a.clone());
+                    s.spawn(move || {
+                        let query = ParsedQuery::parse(formula, &mut a).unwrap();
+                        assert!(cache.lock().unwrap().lookup(&query, None).is_none());
+                        both_missed.wait();
+                        let compiled = query.compile(None).unwrap();
+                        cache.lock().unwrap().insert(compiled, None)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let cache = cache.into_inner().unwrap();
+        assert_eq!((cache.len(), cache.stats()), (1, (0, 2, 0)));
+        assert!(Arc::ptr_eq(&served[0], &served[1]), "one resident entry");
+        for q in &served {
+            assert_eq!(q.prepared.eval_unranked(&t), batch);
+        }
     }
 
     #[test]

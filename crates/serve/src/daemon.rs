@@ -14,6 +14,18 @@
 //!   registry on a background loop, so `/series` and `/alerts` watch the
 //!   serving SLOs (shed ratio, budget trips) out of the box.
 //!
+//! The two locks guard bookkeeping only; no parse or compile runs under
+//! either. `PUT /doc` parses and fingerprints against a copy of the
+//! shared alphabet, then takes the store's write lock just to intern the
+//! labels the copy lacked and swap the tree in (`DocStore::insert`).
+//! `POST /query` snapshots the document and the alphabet under one read
+//! guard and parses the formula against the copy; only a formula naming
+//! a label no document carries takes the write lock, to intern it. The
+//! cache mutex covers the lookup and, after a miss has compiled with no
+//! lock held, the insert. A warm query therefore never waits behind an
+//! ingest or a cold compile, and the automaton's σ always covers the
+//! snapshotted tree.
+//!
 //! Every evaluation runs under a per-request
 //! [`Watchdog`] budget
 //! ([`ServeConfig::max_steps`] / [`ServeConfig::max_wall_ms`]): a
@@ -49,7 +61,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, LockResult, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
-use qa_base::Alphabet;
 use qa_flight::{Budget, JobEvent, Sampled, SharedEvents, Watchdog};
 use qa_mso::PreparedUnary;
 use qa_obs::json::{self, Value};
@@ -60,7 +71,7 @@ use qa_scope::ScopeProfiler;
 use qa_sentinel::SharedSentinel;
 use qa_trees::{NodeId, Tree};
 
-use crate::cache::QueryCache;
+use crate::cache::{ParsedQuery, QueryCache};
 use crate::store::DocStore;
 
 /// Serving SLO rules the daemon loads when no rules file is given: page
@@ -333,9 +344,9 @@ impl Core {
 
 /// A lock's guard, also after a thread panicked while holding it. Every
 /// structure behind the daemon's locks stays valid at each step of an
-/// update (an ingest or compile inserts its result whole, and a parse
-/// that stops half way has only interned extra labels), so one request's
-/// panic must not fail every later request.
+/// update (parses and compiles run on copies outside the locks, and an
+/// insert interns whole labels and stores whole results), so one
+/// request's panic must not fail every later request.
 fn recover<G>(lock: LockResult<G>) -> G {
     lock.unwrap_or_else(PoisonError::into_inner)
 }
@@ -370,12 +381,14 @@ fn put_doc(core: &Arc<Core>, req: &ApiRequest) -> ApiResponse {
     if req.body.trim().is_empty() {
         return error_json(400, "PUT /doc needs the document text as request body");
     }
-    let receipt = {
-        let mut store = recover(core.store.write());
-        store.ingest(name, &req.body)
-    };
+    // Parse against a copy of the alphabet with no lock held; the write
+    // lock only interns fresh labels and swaps the tree in. The tree the
+    // insert lets go of is freed after the guard is released.
+    let alphabet = recover(core.store.read()).alphabet().clone();
+    let receipt = DocStore::parse(&req.body, alphabet)
+        .and_then(|doc| recover(core.store.write()).insert(name, doc));
     match receipt {
-        Ok(r) => {
+        Ok((r, _released)) => {
             core.metrics.count(Counter::DocIngests, 1);
             core.metrics
                 .record(Series::IngestMicros, started.elapsed().as_micros() as u64);
@@ -446,13 +459,37 @@ fn post_query(core: &Arc<Core>, req: &ApiRequest) -> ApiResponse {
         return error_json(429, &format!("evaluation backlog {backlog} at capacity"))
             .retry_after(1);
     }
-    // Compile (or fetch) the query under the store's write lock so the
-    // shared alphabet and the compiled σ stay coherent.
-    let compiled = {
-        let mut store = recover(core.store.write());
-        let mut cache = recover(core.cache.lock());
-        cache.compile(&formula, store.alphabet_mut(), Some(&core.metrics))
+    // Snapshot the document and the alphabet under one read guard: every
+    // label of the tree is then below the σ the formula is compiled over.
+    let (doc, mut labels) = {
+        let store = recover(core.store.read());
+        let doc = parsed.doc.as_deref().and_then(|name| {
+            let stored = store.get(name)?;
+            Some((Arc::clone(&stored.tree), store.id_of(name)?, stored.height))
+        });
+        (doc, store.alphabet().clone())
     };
+    // Parse against the copy. Only a formula naming a label no document
+    // carries takes the write lock, to intern that label.
+    let known = labels.len();
+    let query = ParsedQuery::parse(&formula, &mut labels).and_then(|query| {
+        if labels.len() == known {
+            return Ok(query);
+        }
+        ParsedQuery::parse(&formula, recover(core.store.write()).alphabet_mut())
+    });
+    // Look up under the cache mutex; a miss compiles with no lock held
+    // and re-locks only to insert.
+    let compiled = query.and_then(|query| {
+        let hit = recover(core.cache.lock()).lookup(&query, Some(&core.metrics));
+        match hit {
+            Some(hit) => Ok(hit),
+            None => {
+                let fresh = query.compile(Some(&core.metrics))?;
+                Ok(recover(core.cache.lock()).insert(fresh, Some(&core.metrics)))
+            }
+        }
+    });
     let compiled = match compiled {
         Ok(c) => c,
         Err(e) => return error_json(422, &format!("compile failed: {e}")),
@@ -475,17 +512,8 @@ fn post_query(core: &Arc<Core>, req: &ApiRequest) -> ApiResponse {
             }),
         );
     };
-    let (tree, labels, doc_id, doc_depth): (Arc<Tree>, Alphabet, usize, usize) = {
-        let store = recover(core.store.read());
-        match (store.get(doc_name), store.id_of(doc_name)) {
-            (Some(doc), Some(id)) => (
-                Arc::clone(&doc.tree),
-                store.alphabet().clone(),
-                id,
-                doc.height,
-            ),
-            _ => return error_json(404, &format!("no document `{doc_name}`")),
-        }
+    let Some((tree, doc_id, doc_depth)) = doc else {
+        return error_json(404, &format!("no document `{doc_name}`"));
     };
     // Dispatch onto the work-stealing pool under a per-request budget;
     // `evaluate` counts the run in its own tally and folds it into the
@@ -782,6 +810,38 @@ mod tests {
         assert_eq!(status(core, request("POST", "/query", "", query)), 200);
         assert_eq!(status(core, request("GET", "/docs", "", "")), 200);
         assert_eq!(status(core, request("GET", "/queries", "", "")), 200);
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn a_held_store_read_guard_stalls_no_warm_query_and_no_catalog() {
+        let daemon = ServeDaemon::start(ServeConfig {
+            scrape_every_ms: 0,
+            ..ServeConfig::default()
+        })
+        .expect("daemon starts");
+        let core = &daemon.core;
+        let warm = r#"{"formula": "label(v, b)", "doc": "d"}"#;
+        let query = || request("POST", "/query", "", warm);
+        assert_eq!(status(core, request("PUT", "/doc", "name=d", "(a b)")), 200);
+        assert_eq!(status(core, query()), 200, "cold compile");
+        let held = core.store.read();
+        let answered = std::thread::scope(|s| {
+            let (tx, rx) = mpsc::channel();
+            s.spawn(move || {
+                let warm = status(core, query());
+                let docs = status(core, request("GET", "/docs", "", ""));
+                let _ = tx.send((warm, docs));
+            });
+            let answered = rx.recv_timeout(Duration::from_secs(5));
+            drop(held);
+            answered
+        });
+        assert_eq!(
+            answered,
+            Ok((200, 200)),
+            "answered while the read guard was held"
+        );
         daemon.shutdown();
     }
 

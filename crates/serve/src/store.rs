@@ -17,13 +17,20 @@
 //! or as an s-expression — or re-ingested byte-differently but
 //! structurally identically — fingerprints identically, and re-ingests
 //! of unchanged content are cheap idempotent no-ops.
+//!
+//! Ingest comes in two halves so that a daemon can parse with no lock
+//! held. `DocStore::parse` parses and fingerprints against a *copy* of
+//! the alphabet; `DocStore::insert` interns the labels the copy lacked
+//! and swaps the tree in, relabelling it when a concurrent insert took
+//! those ids first. A text that fails to parse never reaches the shared
+//! alphabet, so garbage cannot grow `σ`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use qa_base::{Alphabet, Error, Result};
+use qa_base::{Alphabet, Error, Result, Symbol};
 use qa_trees::sexpr::{from_sexpr, to_sexpr};
-use qa_trees::Tree;
+use qa_trees::{NodeId, Tree};
 use qa_xml::parser::{parse_with_alphabet, PCDATA};
 
 /// One resident document.
@@ -57,6 +64,21 @@ pub struct IngestReceipt {
     pub updated: bool,
 }
 
+/// A document parsed against a copy of the store's alphabet, not yet
+/// stored: the output of [`DocStore::parse`], the input of
+/// [`DocStore::insert`].
+#[derive(Debug)]
+pub(crate) struct ParsedDoc {
+    tree: Tree,
+    fingerprint: u64,
+    nodes: usize,
+    height: usize,
+    /// Length of the alphabet copy before the parse.
+    known: usize,
+    /// Labels the parse added to the copy, in id order from `known`.
+    fresh: Vec<String>,
+}
+
 /// The resident document store; see the module docs.
 #[derive(Debug, Default)]
 pub struct DocStore {
@@ -83,7 +105,12 @@ impl DocStore {
     /// otherwise) and store it under `name`, extending the shared
     /// alphabet with any fresh labels. Re-ingesting a name with
     /// fingerprint-identical content is an idempotent no-op; different
-    /// content replaces the document in place, keeping its id.
+    /// content replaces the document in place, keeping its id. A rejected
+    /// text leaves the store, alphabet included, as it was.
+    ///
+    /// This is `DocStore::parse` against a copy of the alphabet followed
+    /// by `DocStore::insert`; the daemon runs the two halves under
+    /// different locks.
     ///
     /// ```
     /// use qa_serve::DocStore;
@@ -103,59 +130,103 @@ impl DocStore {
     /// assert_eq!(xml.nodes, 2);
     /// ```
     pub fn ingest(&mut self, name: &str, text: &str) -> Result<IngestReceipt> {
-        if name.is_empty() {
-            return Err(Error::parse("doc", "empty document name".to_string()));
-        }
+        check_name(name)?;
+        let parsed = DocStore::parse(text, self.alphabet.clone())?;
+        self.insert(name, parsed).map(|(receipt, _)| receipt)
+    }
+
+    /// The parse half of [`DocStore::ingest`]: parse `text` against
+    /// `alphabet`, a copy of the store's, and fingerprint it. Touches no
+    /// store, so it can run with no lock held; labels the copy lacks are
+    /// recorded for [`DocStore::insert`] to intern.
+    pub(crate) fn parse(text: &str, mut alphabet: Alphabet) -> Result<ParsedDoc> {
+        let known = alphabet.len();
         let trimmed = text.trim();
         let tree = if trimmed.starts_with('<') {
-            parse_with_alphabet(trimmed, &mut self.alphabet)?.tree
+            // A no-op on the store's alphabets, which start with it.
+            alphabet.intern(PCDATA);
+            parse_with_alphabet(trimmed, &mut alphabet)?.tree
         } else {
-            from_sexpr(trimmed, &mut self.alphabet)?
+            from_sexpr(trimmed, &mut alphabet)?
         };
-        let canonical = to_sexpr(&tree, &self.alphabet);
-        let fingerprint = qa_obs::fnv1a64(canonical.as_bytes());
-        let nodes = tree.num_nodes();
-        let height = tree.height();
-        if let Some(&id) = self.by_name.get(name) {
+        let canonical = to_sexpr(&tree, &alphabet);
+        Ok(ParsedDoc {
+            fingerprint: qa_obs::fnv1a64(canonical.as_bytes()),
+            nodes: tree.num_nodes(),
+            height: tree.height(),
+            tree,
+            known,
+            fresh: alphabet
+                .iter()
+                .skip(known)
+                .map(|(_, n)| n.to_string())
+                .collect(),
+        })
+    }
+
+    /// The insert half of [`DocStore::ingest`]: intern `doc`'s fresh
+    /// labels and store it under `name`. When another insert interned
+    /// labels since `doc`'s alphabet copy was taken, the fresh labels get
+    /// other ids here, and the tree is relabelled to match; fingerprints
+    /// are over label names, so they do not change.
+    ///
+    /// Also returns the tree this insert let go of (the replaced
+    /// document's, or `doc`'s own on a no-op re-ingest), so a caller
+    /// holding a lock can free it after releasing the lock.
+    pub(crate) fn insert(
+        &mut self,
+        name: &str,
+        doc: ParsedDoc,
+    ) -> Result<(IngestReceipt, Option<Arc<Tree>>)> {
+        check_name(name)?;
+        let ParsedDoc {
+            mut tree,
+            fingerprint,
+            nodes,
+            height,
+            known,
+            fresh,
+        } = doc;
+        let receipt = |id, updated| IngestReceipt {
+            id,
+            fingerprint,
+            nodes,
+            height,
+            updated,
+        };
+        let existing = self.by_name.get(name).copied();
+        if let Some(id) = existing {
             if self.docs[id].fingerprint == fingerprint {
-                return Ok(IngestReceipt {
-                    id,
-                    fingerprint,
-                    nodes,
-                    height,
-                    updated: false,
-                });
+                return Ok((receipt(id, false), Some(Arc::new(tree))));
             }
-            self.docs[id] = StoredDoc {
-                name: name.to_string(),
-                tree: Arc::new(tree),
-                fingerprint,
-                nodes,
-                height,
-            };
-            return Ok(IngestReceipt {
-                id,
-                fingerprint,
-                nodes,
-                height,
-                updated: true,
-            });
         }
-        let id = self.docs.len();
-        self.docs.push(StoredDoc {
+        let ids: Vec<Symbol> = fresh.iter().map(|n| self.alphabet.intern(n)).collect();
+        if ids.iter().enumerate().any(|(i, s)| s.index() != known + i) {
+            for v in (0..nodes).map(NodeId::from_index) {
+                let label = tree.label(v).index();
+                if label >= known {
+                    tree.set_label(v, ids[label - known]);
+                }
+            }
+        }
+        let stored = StoredDoc {
             name: name.to_string(),
             tree: Arc::new(tree),
             fingerprint,
             nodes,
             height,
-        });
-        self.by_name.insert(name.to_string(), id);
-        Ok(IngestReceipt {
-            id,
-            fingerprint,
-            nodes,
-            height,
-            updated: true,
+        };
+        Ok(match existing {
+            Some(id) => {
+                let replaced = std::mem::replace(&mut self.docs[id], stored);
+                (receipt(id, true), Some(replaced.tree))
+            }
+            None => {
+                let id = self.docs.len();
+                self.docs.push(stored);
+                self.by_name.insert(name.to_string(), id);
+                (receipt(id, true), None)
+            }
         })
     }
 
@@ -199,6 +270,13 @@ impl DocStore {
     }
 }
 
+fn check_name(name: &str) -> Result<()> {
+    if name.is_empty() {
+        return Err(Error::parse("doc", "empty document name".to_string()));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,9 +312,39 @@ mod tests {
     #[test]
     fn garbage_is_rejected() {
         let mut store = DocStore::new();
-        assert!(store.ingest("bad", "(unclosed").is_err());
-        assert!(store.ingest("bad", "<unclosed>").is_err());
+        let sigma = store.alphabet().len();
+        assert!(store.ingest("bad", "(unclosed fresh").is_err());
+        assert!(store.ingest("bad", "<unclosed><fresh>").is_err());
         assert!(store.ingest("", "(a)").is_err());
         assert!(store.is_empty());
+        assert_eq!(store.alphabet().len(), sigma);
+    }
+
+    #[test]
+    fn inserts_parsed_from_one_snapshot_relabel_in_either_order() {
+        let texts = [("x", "(a (x b) x)"), ("y", "<a><y/><b>hi</b></a>")];
+        let mut batch = DocStore::new();
+        let want: Vec<u64> = texts
+            .iter()
+            .map(|(name, text)| batch.ingest(name, text).unwrap().fingerprint)
+            .collect();
+        for order in [[0, 1], [1, 0]] {
+            let mut store = DocStore::new();
+            store.ingest("seed", "(a b)").unwrap();
+            let snapshot = store.alphabet().clone();
+            let mut parsed: Vec<Option<ParsedDoc>> = texts
+                .iter()
+                .map(|(_, text)| Some(DocStore::parse(text, snapshot.clone()).unwrap()))
+                .collect();
+            for i in order {
+                let doc = parsed[i].take().unwrap();
+                let (receipt, _) = store.insert(texts[i].0, doc).unwrap();
+                assert_eq!(receipt.fingerprint, want[i], "{order:?}");
+            }
+            let render = |name| to_sexpr(&store.get(name).unwrap().tree, store.alphabet());
+            assert_eq!(render("x"), "(a (x b) x)", "{order:?}");
+            assert_eq!(render("y"), "(a y (b #pcdata))", "{order:?}");
+            assert_eq!(store.alphabet().len(), snapshot.len() + 2);
+        }
     }
 }

@@ -366,6 +366,102 @@ fn cold_and_warm_responses_are_byte_identical_modulo_latency() {
     daemon.shutdown();
 }
 
+fn field_u64(body: &str, key: &str) -> u64 {
+    json::parse(body)
+        .expect("response is JSON")
+        .get(key)
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("no `{key}` in {body}"))
+}
+
+#[test]
+fn rejected_documents_and_formulas_leave_sigma_and_the_cache_alone() {
+    let daemon = ServeDaemon::start(quiet_config()).expect("daemon starts");
+    let addr = daemon.addr();
+    assert_eq!(put_doc(addr, "d", "(a b)").status, 200);
+    let warm = json::object(|w| {
+        w.field_str("formula", "label(v, b)");
+        w.field_str("doc", "d");
+    });
+    assert_eq!(post_query(addr, &warm).status, 200);
+    let catalog = || {
+        http_get(addr, "/queries", timeouts())
+            .expect("GET /queries")
+            .body
+    };
+    let sigma = field_u64(&catalog(), "sigma");
+
+    assert_eq!(put_doc(addr, "bad", "(a fresh1 (fresh2").status, 422);
+    assert_eq!(put_doc(addr, "bad", "<a><fresh3><fresh4></a>").status, 422);
+    let bad_formula = json::object(|w| {
+        w.field_str("formula", "label(v, uu) &");
+        w.field_str("doc", "d");
+    });
+    assert_eq!(post_query(addr, &bad_formula).status, 422);
+    let two_free = json::object(|w| {
+        w.field_str("formula", "label(v, vv) & label(w, ww)");
+        w.field_str("doc", "d");
+    });
+    assert_eq!(post_query(addr, &two_free).status, 422);
+    assert_eq!(
+        field_u64(&catalog(), "sigma"),
+        sigma,
+        "rejected input grew σ"
+    );
+
+    let again = post_query(addr, &warm);
+    assert_eq!(again.status, 200, "{}", again.body);
+    assert_eq!(field_u64(&again.body, "sigma"), sigma);
+    assert_eq!(
+        field_u64(&catalog(), "hits"),
+        1,
+        "the warm query still hits"
+    );
+    daemon.shutdown();
+}
+
+#[test]
+fn compiled_sigma_covers_every_label_of_a_document_replaced_meanwhile() {
+    // The writer replaces `d` with `(a x_i a)`, a fresh label each time;
+    // with `#PCDATA` and `a` interned first, `x_i` gets id i + 2.
+    const WRITES: usize = 300;
+    let daemon = ServeDaemon::start(quiet_config()).expect("daemon starts");
+    let addr = daemon.addr();
+    assert_eq!(put_doc(addr, "d", "(a x0 a)").status, 200);
+    let stored = AtomicUsize::new(1);
+    let query = json::object(|w| {
+        w.field_str("formula", "label(v, a)");
+        w.field_str("doc", "d");
+    });
+    let answers = std::thread::scope(|s| {
+        s.spawn(|| {
+            for i in 1..WRITES {
+                let resp = put_doc(addr, "d", &format!("(a x{i} a)"));
+                assert_eq!(resp.status, 200, "{}", resp.body);
+                stored.store(i + 1, Ordering::SeqCst);
+            }
+        });
+        let mut answers = 0;
+        while stored.load(Ordering::SeqCst) < WRITES {
+            let floor = stored.load(Ordering::SeqCst) as u64;
+            let resp = post_query(addr, &query);
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            assert_eq!(selected_of(&resp.body), vec![0, 2], "{}", resp.body);
+            let sigma = field_u64(&resp.body, "sigma");
+            assert!(
+                sigma > floor + 1,
+                "σ {sigma} misses x{} (id {})",
+                floor - 1,
+                floor + 1
+            );
+            answers += 1;
+        }
+        answers
+    });
+    assert!(answers > 0);
+    daemon.shutdown();
+}
+
 #[test]
 fn registered_queries_answer_by_id_and_show_in_the_catalogs() {
     let daemon = ServeDaemon::start(quiet_config()).expect("daemon starts");
