@@ -354,7 +354,14 @@ fn check(baseline_path: &str, par_baseline_path: &str, tolerance: f64) -> usize 
 /// relative multiplier — because wall-clock noise on shared CI runners is
 /// real; the gate exists to catch an accidental per-event allocation or
 /// syscall, which blows past both bounds at once.
+///
+/// The rows run interleaved ([`qa_bench::Harness::interleaved`],
+/// [`ROUNDS`] rounds), and every row is judged on the median over rounds
+/// of its ratio to (and ns/step over) its reference row *in the same
+/// round*, so a slow spell on a shared machine moves both sides of each
+/// ratio instead of failing whichever row it happened to land on.
 fn overhead(gate: bool) -> usize {
+    use qa_bench::black_box;
     use qa_flight::{Budget, FlightRecorder, Watchdog};
     use qa_obs::{Counter, NoopObserver, Tee};
 
@@ -371,36 +378,19 @@ fn overhead(gate: bool) -> usize {
     qa.query_with(&word, &mut count_metrics.observer()).unwrap();
     let steps = count_metrics.get(Counter::Steps).max(1);
 
-    let mut h = qa_bench::Harness::new("obs_overhead");
-    let noop = h.bench("noop", || qa.query_with(&word, &mut NoopObserver).unwrap());
-
     let metrics = Metrics::new();
-    let ns_metrics = h.bench("metrics", || {
-        qa.query_with(&word, &mut metrics.observer()).unwrap()
-    });
-
     let mut recorder = FlightRecorder::with_capacity(256);
-    let ns_flight = h.bench("flight_recorder", || {
-        qa.query_with(&word, &mut recorder).unwrap()
-    });
-
     let mut dog = Watchdog::new(NoopObserver, Budget::steps(u64::MAX));
-    let ns_watchdog = h.bench("watchdog", || qa.query_with(&word, &mut dog).unwrap());
-
     let mut stack = Watchdog::new(
         Tee(FlightRecorder::with_capacity(256), metrics.observer()),
         Budget::steps(u64::MAX),
     );
-    let ns_stack = h.bench("watchdog+flight+metrics", || {
-        qa.query_with(&word, &mut stack).unwrap()
-    });
-
     // The --serve configuration: the full stack plus a span profiler, with
-    // an idle pulse server bound on loopback for the duration (and, under
-    // `--features alloc-count`, the counting allocator priced into every
-    // row) — what `qa-fleet --serve` adds per run. The fleet's live
-    // /metrics feed is a per-run registry merge, not a per-event tee, so
-    // it does not show up here. Gated against the full stack (≤ 10%).
+    // an idle pulse server bound on loopback for the whole measurement
+    // (and, under `--features alloc-count`, the counting allocator priced
+    // into every row) — what `qa-fleet --serve` adds per run. The fleet's
+    // live /metrics feed is a per-run registry merge, not a per-event tee,
+    // so it does not show up here. Gated against the full stack (≤ 10%).
     let live = std::sync::Arc::new(Metrics::new());
     let pulse_state = qa_pulse::PulseState::new(std::sync::Arc::clone(&live), "qa_bench");
     let pulse_server = qa_pulse::PulseServer::serve("127.0.0.1:0", pulse_state)
@@ -413,11 +403,6 @@ fn overhead(gate: bool) -> usize {
         ),
         Budget::steps(u64::MAX),
     );
-    let ns_pulse = h.bench("stack+pulse(serve,profile)", || {
-        qa.query_with(&word, &mut serve_stack).unwrap()
-    });
-    pulse_server.shutdown();
-
     // The --scope configuration: the full stack plus a per-state
     // ScopeProfiler — what `qa-fleet --scope` and a serving-daemon
     // `"explain": true` request add per run. Gated like pulse: EXPLAIN
@@ -431,9 +416,37 @@ fn overhead(gate: bool) -> usize {
         ),
         Budget::steps(u64::MAX),
     );
-    let ns_scope = h.bench("stack+scope(explain)", || {
-        qa.query_with(&word, &mut scope_stack).unwrap()
-    });
+
+    let mut h = qa_bench::Harness::new("obs_overhead");
+    let ns = h.interleaved(
+        &mut [
+            ("noop", &mut || {
+                black_box(qa.query_with(&word, &mut NoopObserver).unwrap());
+            }),
+            ("metrics", &mut || {
+                black_box(qa.query_with(&word, &mut metrics.observer()).unwrap());
+            }),
+            ("flight_recorder", &mut || {
+                black_box(qa.query_with(&word, &mut recorder).unwrap());
+            }),
+            ("watchdog", &mut || {
+                black_box(qa.query_with(&word, &mut dog).unwrap());
+            }),
+            ("watchdog+flight+metrics", &mut || {
+                black_box(qa.query_with(&word, &mut stack).unwrap());
+            }),
+            ("stack+pulse(serve,profile)", &mut || {
+                black_box(qa.query_with(&word, &mut serve_stack).unwrap());
+            }),
+            ("stack+scope(explain)", &mut || {
+                black_box(qa.query_with(&word, &mut scope_stack).unwrap());
+            }),
+        ],
+        ROUNDS,
+    );
+    pulse_server.shutdown();
+    const NOOP: usize = 0;
+    const STACK: usize = 4;
 
     println!();
     println!(
@@ -441,58 +454,52 @@ fn overhead(gate: bool) -> usize {
         "observer", "ns/run", "ns/step", "x noop"
     );
     let mut violations = 0usize;
-    for (name, ns) in [
-        ("noop", noop),
-        ("metrics", ns_metrics),
-        ("flight_recorder", ns_flight),
-        ("watchdog", ns_watchdog),
-        ("watchdog+flight+metrics", ns_stack),
-    ] {
-        let per_step = ns / steps as f64;
-        let rel = ns / noop.max(1e-9);
-        let extra_per_step = (ns - noop) / steps as f64;
+    let names = [
+        "noop",
+        "metrics",
+        "flight_recorder",
+        "watchdog",
+        "watchdog+flight+metrics",
+    ];
+    for (row, name) in names.into_iter().enumerate() {
+        let (ns_run, rel, extra_per_step) = paired(&ns[row], &ns[NOOP], steps);
         let ok = extra_per_step <= MAX_EXTRA_NS_PER_STEP || rel <= MAX_RELATIVE;
         println!(
-            "{name:<24} {ns:>12.1} {per_step:>10.2} {rel:>8.1}x{}",
+            "{name:<24} {ns_run:>12.1} {:>10.2} {rel:>8.1}x{}",
+            ns_run / steps as f64,
             if ok { "" } else { "  <-- OVER BUDGET" }
         );
         if gate && !ok {
             violations += 1;
         }
     }
-    // The pulse row has its own budget: serving + profiling must cost at
-    // most 10% over the plain full stack (or a small absolute ns/step
-    // slack, for runners where the stack itself is a handful of ns).
+    // The pulse and scope rows have their own budget: serving + profiling,
+    // and per-state profiling, must each cost at most 10% over the plain
+    // full stack (or a small absolute ns/step slack, for runners where the
+    // stack itself is a handful of ns).
     const MAX_PULSE_RELATIVE: f64 = 1.10;
     const MAX_PULSE_EXTRA_NS_PER_STEP: f64 = 25.0;
-    {
-        let per_step = ns_pulse / steps as f64;
-        let rel_stack = ns_pulse / ns_stack.max(1e-9);
-        let extra_per_step = (ns_pulse - ns_stack) / steps as f64;
-        let ok = rel_stack <= MAX_PULSE_RELATIVE || extra_per_step <= MAX_PULSE_EXTRA_NS_PER_STEP;
-        println!(
-            "{:<24} {ns_pulse:>12.1} {per_step:>10.2} {:>7.2}x stack{}",
-            "stack+pulse",
-            rel_stack,
-            if ok { "" } else { "  <-- OVER BUDGET" }
-        );
-        if gate && !ok {
-            violations += 1;
-        }
-    }
-    // The scope row carries the same bound as pulse: per-state profiling
-    // must stay within 10% of the plain full stack (or the absolute slack).
     const MAX_SCOPE_RELATIVE: f64 = 1.10;
     const MAX_SCOPE_EXTRA_NS_PER_STEP: f64 = 25.0;
-    {
-        let per_step = ns_scope / steps as f64;
-        let rel_stack = ns_scope / ns_stack.max(1e-9);
-        let extra_per_step = (ns_scope - ns_stack) / steps as f64;
-        let ok = rel_stack <= MAX_SCOPE_RELATIVE || extra_per_step <= MAX_SCOPE_EXTRA_NS_PER_STEP;
-        println!(
-            "{:<24} {ns_scope:>12.1} {per_step:>10.2} {:>7.2}x stack{}",
+    for (row, name, max_rel, max_extra) in [
+        (
+            5,
+            "stack+pulse",
+            MAX_PULSE_RELATIVE,
+            MAX_PULSE_EXTRA_NS_PER_STEP,
+        ),
+        (
+            6,
             "stack+scope",
-            rel_stack,
+            MAX_SCOPE_RELATIVE,
+            MAX_SCOPE_EXTRA_NS_PER_STEP,
+        ),
+    ] {
+        let (ns_run, rel_stack, extra_per_step) = paired(&ns[row], &ns[STACK], steps);
+        let ok = rel_stack <= max_rel || extra_per_step <= max_extra;
+        println!(
+            "{name:<24} {ns_run:>12.1} {:>10.2} {rel_stack:>7.2}x stack{}",
+            ns_run / steps as f64,
             if ok { "" } else { "  <-- OVER BUDGET" }
         );
         if gate && !ok {
@@ -514,15 +521,41 @@ fn overhead(gate: bool) -> usize {
     violations
 }
 
+/// Rounds of the interleaved overhead rows.
+const ROUNDS: usize = 21;
+
+/// A row against its reference, paired round by round: the row's median
+/// ns/run, and the medians over rounds of `row / reference` and of
+/// `(row − reference) / steps`.
+fn paired(row: &[f64], reference: &[f64], steps: u64) -> (f64, f64, f64) {
+    let mut ns = row.to_vec();
+    let mut rel: Vec<f64> = row
+        .iter()
+        .zip(reference)
+        .map(|(r, b)| r / b.max(1e-9))
+        .collect();
+    let mut extra: Vec<f64> = row
+        .iter()
+        .zip(reference)
+        .map(|(r, b)| (r - b) / steps as f64)
+        .collect();
+    (
+        qa_bench::median(&mut ns),
+        qa_bench::median(&mut rel),
+        qa_bench::median(&mut extra),
+    )
+}
+
 /// The serve-eval row passes if EITHER bound holds.
 const MAX_SERVE_RELATIVE: f64 = 1.10;
 const MAX_SERVE_EXTRA_NS_PER_STEP: f64 = 10.0;
 
 /// The "serve eval (Figure 6)" row: `qa_serve::evaluate` under the
 /// daemon's default budget against `eval_unranked_with(NoopObserver)`,
-/// timed in interleaved single runs (median of each), so drifting load
-/// on a shared machine hits both sides alike. Asserts that both select
-/// the same nodes as the ranked Figure 5 run on the explicit
+/// timed in interleaved single runs and judged like the other rows on the
+/// medians of the per-pair ratio and ns/step, so drifting load on a
+/// shared machine hits both sides alike. Asserts that both select the
+/// same nodes as the ranked Figure 5 run on the explicit
 /// first-child/next-sibling encoding; returns whether the row is within
 /// its bound.
 fn serve_eval_within_budget() -> bool {
@@ -545,7 +578,7 @@ fn serve_eval_within_budget() -> bool {
         .with_wall(Duration::from_millis(cfg.max_wall_ms))
         .with_wall_poll_every(64);
     let registry = Metrics::new();
-    let serve = || qa_serve::evaluate(prepared, &tree, false, false, budget, &registry);
+    let serve = || qa_serve::evaluate(prepared, &tree, false, budget, &registry);
 
     let mut counted = Tally::new();
     let plain = prepared.eval_unranked_with(&tree, &mut counted);
@@ -580,13 +613,8 @@ fn serve_eval_within_budget() -> bool {
             qa_bench::black_box(serve());
         }));
     }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    let (noop, ns) = (median(&mut ns_noop), median(&mut ns_serve));
-    let rel = ns / noop.max(1e-9);
-    let extra_per_step = (ns - noop) / steps as f64;
+    let (ns, rel, extra_per_step) = paired(&ns_serve, &ns_noop, steps);
+    let noop = qa_bench::median(&mut ns_noop);
     let ok = rel <= MAX_SERVE_RELATIVE || extra_per_step <= MAX_SERVE_EXTRA_NS_PER_STEP;
     println!(
         "{:<24} {ns:>12.1} {:>10.2} {rel:>8.2}x noop ({extra_per_step:+.2} ns/step over {:.1}){}",

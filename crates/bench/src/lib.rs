@@ -36,39 +36,98 @@ impl Harness {
     /// Measure `f`, printing `group/name  <median> ns/iter (±spread)`.
     /// Returns the median ns/iter so callers can assert relations.
     pub fn bench<T>(&mut self, name: &str, mut f: impl FnMut() -> T) -> f64 {
-        // Calibrate: double the batch until one batch fills the target.
-        let mut iters: u64 = 1;
-        loop {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            let dt = start.elapsed();
-            if dt >= SAMPLE_TARGET || iters >= 1 << 24 {
-                break;
-            }
-            // aim straight for the target rather than doubling blindly
-            let scale = SAMPLE_TARGET.as_secs_f64() / dt.as_secs_f64().max(1e-9);
-            iters = (iters as f64 * scale.clamp(1.5, 16.0)).ceil() as u64;
-        }
+        let iters = calibrate(SAMPLE_TARGET, &mut || {
+            black_box(f());
+        });
         let mut ns: Vec<f64> = (0..SAMPLES)
             .map(|_| {
-                let start = Instant::now();
-                for _ in 0..iters {
+                sample(iters, &mut || {
                     black_box(f());
-                }
-                start.elapsed().as_secs_f64() * 1e9 / iters as f64
+                })
             })
             .collect();
-        ns.sort_by(f64::total_cmp);
-        let median = ns[SAMPLES / 2];
-        let spread = (ns[SAMPLES - 1] - ns[0]) / 2.0;
+        let median = median(&mut ns);
+        self.report(name, median, &ns, iters);
+        median
+    }
+
+    /// Measure several `rows` side by side: calibrate each row's batch
+    /// once, then run `rounds` rounds that time one batch of every row,
+    /// each round starting one row later, so drifting load on a shared
+    /// machine hits all rows alike. Prints each row's median and returns
+    /// its ns/iter per round, `out[row][round]`, for statistics that pair
+    /// rows within a round.
+    pub fn interleaved(
+        &mut self,
+        rows: &mut [(&str, &mut dyn FnMut())],
+        rounds: usize,
+    ) -> Vec<Vec<f64>> {
+        let iters: Vec<u64> = rows
+            .iter_mut()
+            .map(|(_, f)| calibrate(INTERLEAVED_TARGET, *f))
+            .collect();
+        let mut ns = vec![Vec::with_capacity(rounds); rows.len()];
+        for round in 0..rounds {
+            for k in 0..rows.len() {
+                let row = (round + k) % rows.len();
+                ns[row].push(sample(iters[row], rows[row].1));
+            }
+        }
+        for (row, (name, _)) in rows.iter().enumerate() {
+            let mut sorted = ns[row].clone();
+            let median = median(&mut sorted);
+            self.report(name, median, &sorted, iters[row]);
+        }
+        ns
+    }
+
+    fn report(&self, name: &str, median: f64, ns: &[f64], iters: u64) {
+        let (lo, hi) = ns
+            .iter()
+            .fold((f64::MAX, f64::MIN), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+        let spread = (hi - lo) / 2.0;
         println!(
             "{}/{name}  {median:.1} ns/iter (±{spread:.1}, {iters} iters/sample)",
             self.group
         );
-        median
     }
+}
+
+/// Target wall-clock per sample of an [`Harness::interleaved`] row: it
+/// takes many more samples than [`Harness::bench`].
+const INTERLEAVED_TARGET: Duration = Duration::from_millis(15);
+
+/// The batch size at which one batch of `f` fills `target`.
+fn calibrate(target: Duration, f: &mut dyn FnMut()) -> u64 {
+    let mut iters: u64 = 1;
+    loop {
+        let start = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        let dt = start.elapsed();
+        if dt >= target || iters >= 1 << 24 {
+            return iters;
+        }
+        // aim straight for the target rather than doubling blindly
+        let scale = target.as_secs_f64() / dt.as_secs_f64().max(1e-9);
+        iters = (iters as f64 * scale.clamp(1.5, 16.0)).ceil() as u64;
+    }
+}
+
+/// ns/iter of one batch of `iters` calls.
+fn sample(iters: u64, f: &mut dyn FnMut()) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    start.elapsed().as_secs_f64() * 1e9 / iters as f64
+}
+
+/// The median of `xs` (the upper one of an even count); sorts `xs`.
+pub fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 /// A bibliography document with `k` copies of the Figure 1 entries.

@@ -6,18 +6,30 @@
 //! `v` marked. The naive strategy re-runs `D` per node — `O(n²)`. The
 //! paper's Figure 5 (ranked) / Figure 6 (unranked) algorithm computes every
 //! node's verdict in one bottom-up pass (subtree states, the
-//! `τ(t_v, v)` analogue) and one top-down pass (context tables, the
-//! `τ(t̄_v, v)` analogue): `O(n · |Q|)` overall.
+//! `τ(t_v, v)` analogue) and one top-down pass (contexts, the
+//! `τ(t̄_v, v)` analogue).
 //!
 //! Unranked queries are compiled over the first-child/next-sibling (FCNS)
 //! encoding (see [`crate::unranked`]). [`PreparedUnary::eval_unranked_with`]
 //! runs Figure 6 on that encoding *implicitly*: it walks the unranked tree
 //! itself, keeping per node the states of its child chain and of its
 //! later-sibling chain, and never builds the `2n + 1`-node encoded tree or
-//! a context for its `n + 1` `nil` leaves. Selections come back in
-//! ascending [`NodeId`] order (document order for parsed documents), and
-//! every event names unranked node ids. [`qa_trees::fcns::encode_with_map`]
-//! remains for the naive reference, which marks encoded nodes.
+//! a context for its `n + 1` `nil` leaves. Its top-down pass keeps no
+//! context table either: a node's context is the set `G_v ⊆ Q` of *good*
+//! states, those under which the context reaches a final root, with
+//! `G_root = F` and, for a child in the left (right) slot of an encoded
+//! parent `p` whose other child is in state `r` (`l`),
+//! `G_c = {q : δ(q, r, e_p) ∈ G_p}` (`{q : δ(l, q, e_p) ∈ G_p}`). `v` is
+//! selected iff its marked state lies in `G_v`. Each distinct set gets a
+//! dense id and each `(G_p, slot, other state, e_p)` is memoized, so the
+//! pass is one memo probe per node plus `|Q|` lookups per distinct key:
+//! `O(n + |Q| · keys)`, where the Figure 5 pass costs `O(n · |Q|)`.
+//! Selections come back in ascending [`NodeId`] order (document order for
+//! parsed documents), and every event names unranked node ids.
+//! [`qa_trees::fcns::encode_with_map`] remains for the naive reference,
+//! which marks encoded nodes.
+
+use std::collections::HashMap;
 
 use qa_base::Symbol;
 use qa_core::ranked::{ops, Dbta};
@@ -138,6 +150,15 @@ impl PreparedUnary {
     /// parent's and its earlier siblings', so descending ids visit
     /// children first and ascending ids visit parents first.
     ///
+    /// The top-down pass carries one good-set id per node (see the module
+    /// doc): a node's set comes from its encoded parent's through the
+    /// per-run [`GoodSets`] memo, and the verdict tests the marked state's
+    /// bit. [`Counter::TableLookups`] counts the lookups performed: one
+    /// per child in the bottom-up pass and `|Q|` per memo miss in the
+    /// top-down pass (the verdicts count [`Counter::SelectionChecks`]).
+    /// `state_visit` fires once per lookup performed, so a profile is the
+    /// same for every run of one query on one document.
+    ///
     /// Each pass counts `2` [`Counter::Steps`] per node and `1` more at
     /// the root, then polls [`Observer::checkpoint`]: a node stands for
     /// itself and the `nil` leaf closing its child chain (its own left
@@ -192,38 +213,24 @@ impl PreparedUnary {
             Some(())
         })?;
 
-        // Pass 2 (top-down): ctx[v·|Q| + q] = root state if v's encoded
-        // subtree evaluated to q. A first child's context comes through
-        // its parent's left slot, a later child's through its previous
-        // sibling's right slot.
-        let nq = d.num_states();
-        let mut ctx = vec![StateId::from_index(0); n * nq];
-        for (q, slot) in ctx[..nq].iter_mut().enumerate() {
-            *slot = StateId::from_index(q);
-        }
+        // Pass 2 (top-down): good[v] is the id of G_v, the states of v's
+        // encoded subtree under which its context reaches a final root. A
+        // first child sits in its parent's left slot, a later child in its
+        // previous sibling's right slot; `from` is that encoded parent.
+        let mut sets = GoodSets::new(d, enc_sigma);
+        let mut good = vec![sets.finals(d); n];
         phase(obs, "top-down pass", |obs| {
             for v in (0..n).map(NodeId::from_index) {
                 step(obs, v)?;
-                // `from` is the encoded parent of c: v for the first
-                // child (c in its left slot), else c's previous sibling
-                // (c in its right slot)
                 let mut from = v;
                 for &c in tree.children(v) {
-                    let ext = unmarked(from);
-                    let (done, rest) = ctx.split_at_mut(c.index() * nq);
-                    let outer = &done[from.index() * nq..][..nq];
-                    obs.count(Counter::TableLookups, nq as u64);
-                    for (q, slot) in rest[..nq].iter_mut().enumerate() {
-                        let q = StateId::from_index(q);
-                        let pair = if from == v {
-                            [q, right[v.index()]]
-                        } else {
-                            [left[from.index()], q]
-                        };
-                        let here = d.transition(&pair, ext)?;
-                        obs.state_visit(Machine::Dbtar, here.index() as u32, ext.index() as u32);
-                        *slot = outer[here.index()];
-                    }
+                    let slot = if from == v {
+                        Slot::Left(right[v.index()])
+                    } else {
+                        Slot::Right(left[from.index()])
+                    };
+                    good[c.index()] =
+                        sets.child(d, obs, good[from.index()], slot, unmarked(from))?;
                     from = c;
                 }
             }
@@ -241,7 +248,7 @@ impl PreparedUnary {
                     continue;
                 };
                 obs.state_visit(Machine::Dbtar, q.index() as u32, ext.index() as u32);
-                if d.is_final(ctx[v.index() * nq + q.index()]) {
+                if sets.contains(good[v.index()], q) {
                     // certificate: marking v drives the encoded run into
                     // q, and v's context maps that to an accepting root.
                     obs.config(q.index() as u32, v.index() as u32, 0);
@@ -255,6 +262,190 @@ impl PreparedUnary {
             }
             Some(out)
         })
+    }
+}
+
+/// Where a child sits under its encoded parent, with the state of the
+/// parent's other child.
+#[derive(Clone, Copy)]
+enum Slot {
+    /// The left (first-child) slot; the right child's state.
+    Left(StateId),
+    /// The right (next-sibling) slot; the left child's state.
+    Right(StateId),
+}
+
+/// The sets of good states of one Figure 6 run, each interned under a
+/// dense id, and the memo `(G, slot and other child's state, label) → G'`
+/// that makes the top-down pass deterministic, the way on-the-fly subset
+/// construction memoizes subsets. Built per run, so a [`PreparedUnary`]
+/// shared between threads holds no mutable state; it grows with the
+/// number of distinct keys met, at most one per encoded edge.
+struct GoodSets {
+    num_states: usize,
+    /// Labels of the encoded alphabet, to pack a memo key.
+    enc_sigma: u64,
+    /// `u64` words per set, `⌈|Q| / 64⌉`: one layout for every `|Q|`.
+    words: usize,
+    /// Set `g` is `bits[g·words..][..words]`, bit `q` standing for state `q`.
+    bits: Vec<u64>,
+    ids: HashMap<Box<[u64]>, u32>,
+    memo: Memo,
+    /// The set being built on a memo miss.
+    scratch: Vec<u64>,
+}
+
+impl GoodSets {
+    fn new(d: &Dbta, enc_sigma: usize) -> Self {
+        let num_states = d.num_states();
+        let words = num_states.div_ceil(64);
+        GoodSets {
+            num_states,
+            enc_sigma: enc_sigma as u64,
+            words,
+            bits: Vec::new(),
+            ids: HashMap::new(),
+            memo: Memo::new(),
+            scratch: vec![0; words],
+        }
+    }
+
+    #[inline]
+    fn contains(&self, g: u32, q: StateId) -> bool {
+        let q = q.index();
+        self.bits[g as usize * self.words + q / 64] >> (q % 64) & 1 == 1
+    }
+
+    /// The id of the set in `scratch`, interning it if it is new.
+    fn intern(&mut self) -> u32 {
+        if let Some(&g) = self.ids.get(&self.scratch[..]) {
+            return g;
+        }
+        let g = self.ids.len() as u32;
+        self.bits.extend_from_slice(&self.scratch);
+        self.ids.insert(self.scratch.clone().into_boxed_slice(), g);
+        g
+    }
+
+    /// `G_root = F`.
+    fn finals(&mut self, d: &Dbta) -> u32 {
+        self.scratch.fill(0);
+        for q in (0..self.num_states).filter(|&q| d.is_final(StateId::from_index(q))) {
+            self.scratch[q / 64] |= 1 << (q % 64);
+        }
+        self.intern()
+    }
+
+    /// The good set of a child in `slot` under an encoded parent with good
+    /// set `g` and label `ext`: `{q : δ(q, r, ext) ∈ G}` in the left slot,
+    /// `{q : δ(l, q, ext) ∈ G}` in the right one. A memo hit costs no
+    /// lookup; a miss performs (and counts) `|Q|` of them. `None` when a
+    /// transition is missing.
+    #[inline]
+    fn child<O: Observer>(
+        &mut self,
+        d: &Dbta,
+        obs: &mut O,
+        g: u32,
+        slot: Slot,
+        ext: Symbol,
+    ) -> Option<u32> {
+        let (other, side) = match slot {
+            Slot::Left(r) => (r, 0),
+            Slot::Right(l) => (l, 1),
+        };
+        let ctx = (other.index() as u64 * self.enc_sigma + ext.index() as u64) << 1 | side;
+        match self.memo.get(g, ctx) {
+            Ok(child) => Some(child),
+            Err(at) => {
+                let child = self.refine(d, obs, g, slot, ext)?;
+                self.memo.insert(at, g, ctx, child);
+                Some(child)
+            }
+        }
+    }
+
+    /// A memo miss of [`child`](Self::child): `|Q|` lookups.
+    #[cold]
+    fn refine<O: Observer>(
+        &mut self,
+        d: &Dbta,
+        obs: &mut O,
+        g: u32,
+        slot: Slot,
+        ext: Symbol,
+    ) -> Option<u32> {
+        obs.count(Counter::TableLookups, self.num_states as u64);
+        self.scratch.fill(0);
+        for q in 0..self.num_states {
+            let pair = match slot {
+                Slot::Left(r) => [StateId::from_index(q), r],
+                Slot::Right(l) => [l, StateId::from_index(q)],
+            };
+            let here = d.transition(&pair, ext)?;
+            obs.state_visit(Machine::Dbtar, here.index() as u32, ext.index() as u32);
+            if self.contains(g, here) {
+                self.scratch[q / 64] |= 1 << (q % 64);
+            }
+        }
+        Some(self.intern())
+    }
+}
+
+/// The memo of [`GoodSets`]: `(g, ctx) → g'` by open addressing with
+/// linear probing, in a power-of-two table at most half full.
+struct Memo {
+    /// `(ctx, g, g')`, [`Memo::EMPTY`] in `g'` for a free slot.
+    slots: Vec<(u64, u32, u32)>,
+    len: usize,
+}
+
+impl Memo {
+    const EMPTY: u32 = u32::MAX;
+
+    fn new() -> Self {
+        Memo {
+            slots: vec![(0, 0, Self::EMPTY); 64],
+            len: 0,
+        }
+    }
+
+    /// `g'` for `(g, ctx)`, or the free slot where it belongs.
+    #[inline]
+    fn get(&self, g: u32, ctx: u64) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = Self::home(g, ctx) & mask;
+        loop {
+            let (c, h, child) = self.slots[i];
+            if child == Self::EMPTY {
+                return Err(i);
+            }
+            if c == ctx && h == g {
+                return Ok(child);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Store `(g, ctx) → child` in the free slot `at` that `get` returned.
+    fn insert(&mut self, at: usize, g: u32, ctx: u64, child: u32) {
+        self.slots[at] = (ctx, g, child);
+        self.len += 1;
+        if 2 * self.len > self.slots.len() {
+            let grown = vec![(0, 0, Self::EMPTY); 2 * self.slots.len()];
+            let old = std::mem::replace(&mut self.slots, grown);
+            for (ctx, g, child) in old.into_iter().filter(|e| e.2 != Self::EMPTY) {
+                if let Err(at) = self.get(g, ctx) {
+                    self.slots[at] = (ctx, g, child);
+                }
+            }
+        }
+    }
+
+    #[inline]
+    fn home(g: u32, ctx: u64) -> usize {
+        let mix = (ctx ^ (g as u64).rotate_left(32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (mix >> 32) as usize
     }
 }
 

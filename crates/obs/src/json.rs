@@ -24,6 +24,23 @@ pub fn push_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Append the decimal digits of `value` to `out`, as `value.to_string()`
+/// would, without allocating.
+fn push_u64(out: &mut String, mut value: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    // ASCII digits are valid UTF-8
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
 /// Incremental writer for one JSON object: handles comma placement and key
 /// escaping, so call sites read as a flat list of `field` calls.
 pub struct ObjectWriter<'a> {
@@ -50,7 +67,7 @@ impl<'a> ObjectWriter<'a> {
     /// `"key": 123`
     pub fn field_u64(&mut self, key: &str, value: u64) {
         self.key(key);
-        self.out.push_str(&value.to_string());
+        push_u64(self.out, value);
     }
 
     /// `"key": 1.25` (written with enough precision to round-trip).
@@ -89,7 +106,7 @@ impl<'a> ObjectWriter<'a> {
             if i > 0 {
                 self.out.push(',');
             }
-            self.out.push_str(&v.to_string());
+            push_u64(self.out, v);
         }
         self.out.push(']');
     }
@@ -453,6 +470,34 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn integers_are_written_as_to_string_writes_them() {
+        use qa_base::rng::{Rng, StdRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let edges = [0, 9, 10, 99, 100, u64::MAX];
+        // every digit count: random words shifted right by 0..64 bits
+        let sample: Vec<u64> = (0..1000).map(|i| rng.next_u64() >> (i % 64)).collect();
+        for v in edges.into_iter().chain(sample.iter().copied()) {
+            let mut out = String::from("x");
+            push_u64(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+            assert_eq!(object(|w| w.field_u64("k", v)), format!("{{\"k\":{v}}}"));
+        }
+        let want = format!(
+            "{{\"ids\":[{}]}}",
+            sample
+                .iter()
+                .map(u64::to_string)
+                .collect::<Vec<_>>()
+                .join(",")
+        );
+        assert_eq!(
+            object(|w| w.field_u64_array("ids", sample.iter().copied())),
+            want
+        );
+        assert_eq!(object(|w| w.field_u64_array("ids", [])), r#"{"ids":[]}"#);
+    }
 
     #[test]
     fn escapes_control_and_quote_chars() {

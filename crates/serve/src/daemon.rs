@@ -530,7 +530,6 @@ fn post_query(core: &Arc<Core>, req: &ApiRequest) -> ApiResponse {
         let run = evaluate(
             &job_query.prepared,
             &job_tree,
-            why,
             explain,
             budget,
             &job_metrics,
@@ -634,7 +633,8 @@ fn post_query(core: &Arc<Core>, req: &ApiRequest) -> ApiResponse {
 #[derive(Debug)]
 pub struct Evaluation {
     /// Selected nodes in document order, each paired with its marked
-    /// state when `why` was asked for (0 otherwise).
+    /// state (its `why_selected` certificate). The run yields both at
+    /// once; the response lists the certificates only when `why` is set.
     pub selected: Vec<(NodeId, u32)>,
     /// The budget that aborted the run, if one did (the selection is
     /// then empty).
@@ -654,8 +654,8 @@ pub struct Evaluation {
 }
 
 /// Evaluate one served query the way `POST /query` does: the Figure 6
-/// two-pass run of `prepared` over `tree` (with `why_selected`
-/// certificates when `why` is set) under the observer chain
+/// two-pass run of `prepared` over `tree`, with the `why_selected`
+/// certificate of every selected node, under the observer chain
 /// `Watchdog(Tee(Tally, scope arm))`.
 ///
 /// The [`Tally`] counts every event in plain per-job integers; it is
@@ -669,7 +669,6 @@ pub struct Evaluation {
 pub fn evaluate(
     prepared: &PreparedUnary,
     tree: &Tree,
-    why: bool,
     explain: bool,
     budget: Budget,
     registry: &Metrics,
@@ -680,15 +679,7 @@ pub fn evaluate(
         Sampled::Light(NoopObserver)
     };
     let mut dog = Watchdog::new(Tee(Tally::new(), scope_arm), budget);
-    let selected = if why {
-        prepared.eval_unranked_explained(tree, &mut dog)
-    } else {
-        prepared
-            .eval_unranked_with(tree, &mut dog)
-            .into_iter()
-            .map(|v| (v, 0))
-            .collect()
-    };
+    let selected = prepared.eval_unranked_explained(tree, &mut dog);
     let tripped = dog.tripped();
     let Tee(mut tally, scope_arm) = dog.into_inner();
     if tripped.is_some() {

@@ -1,16 +1,22 @@
 //! Figure 6 on unranked trees: the two passes over the implicit
 //! first-child/next-sibling encoding agree with the ranked Figure 5 run on
-//! the explicit encoding, report unranked node ids in their events, return
-//! selections in ascending id order and count the encoded run's steps.
+//! the explicit encoding (for automata of any width), report unranked node
+//! ids in their events, return selections in ascending id order, count the
+//! encoded run's steps, and perform one table lookup per child plus `|Q|`
+//! per distinct good-set memo key.
+
+use std::collections::HashSet;
 
 use query_automata::base::rng::{Rng, StdRng};
-use query_automata::core::ranked::Dbta;
+use query_automata::core::ranked::{ops, Dbta};
+use query_automata::mso::compile_string::ext_symbol;
 use query_automata::mso::query_eval::{
     eval_unary_ranked_with, eval_unary_unranked, eval_unary_unranked_naive,
 };
 use query_automata::mso::{unranked, PreparedUnary};
 use query_automata::obs::{Counter, Machine, Tally};
 use query_automata::prelude::*;
+use query_automata::strings::StateId;
 use query_automata::trees::{fcns, generate};
 
 /// qa-serve's soak formulas and the five churn templates of the serving
@@ -240,5 +246,168 @@ fn steps_are_those_of_the_encoded_run_and_budgets_bind_exactly() {
         let mut dog = Watchdog::new(NoopObserver, Budget::steps(full));
         assert_eq!(prepared.eval_unranked_with(t, &mut dog), plain);
         assert!(dog.tripped().is_none(), "{full} steps do not trip");
+    }
+}
+
+/// A random automaton over the marked encoded alphabet with `states`
+/// states. State 0 is a non-final sink that a marked `nil` leaf enters,
+/// so, as for a compiled query, no `nil` leaf is ever selected; every
+/// other leaf and binary transition is drawn uniformly from the rest, and
+/// about half of them are final.
+fn random_dbta(rng: &mut StdRng, states: usize, sigma: usize) -> Dbta {
+    let enc = unranked::encoded_alphabet_len(sigma);
+    let mut d = Dbta::new(2 * enc, 2);
+    let qs: Vec<StateId> = (0..states).map(|_| d.add_state()).collect();
+    let (sink, live) = (qs[0], &qs[1..]);
+    let draw = |rng: &mut StdRng| live[rng.gen_range(0..live.len())];
+    for a in (0..2 * enc).map(Symbol::from_index) {
+        d.set_leaf(a, draw(rng));
+        for &l in &qs {
+            for &r in &qs {
+                let to = if l == sink || r == sink {
+                    sink
+                } else {
+                    draw(rng)
+                };
+                d.set_transition(&[l, r], a, to);
+            }
+        }
+    }
+    d.set_leaf(ext_symbol(unranked::nil_symbol(sigma), 1, enc), sink);
+    for &q in live {
+        d.set_final(q, rng.gen_bool(0.5));
+    }
+    d
+}
+
+#[test]
+fn sets_wider_than_a_word_agree_with_the_encoded_run() {
+    let mut rng = StdRng::seed_from_u64(73);
+    let trees: Vec<Tree> = shapes(79)
+        .into_iter()
+        .filter(|t| t.num_nodes() <= 301)
+        .collect();
+    // 65 and 130 states: good sets of two and three words
+    for states in [65, 130] {
+        let d = random_dbta(&mut rng, states, SIGMA);
+        let prepared = PreparedUnary::new(&d, SIGMA);
+        let mut selections = 0;
+        for t in &trees {
+            let (want, want_marked) = encoded_run(&d, t, SIGMA);
+            let mut seen = Verdicts::default();
+            let got = prepared.eval_unranked_explained(t, &mut seen);
+            let shape = || format!("{states} states on a {}-node tree", t.num_nodes());
+            assert_eq!(got, want, "{}", shape());
+            assert_eq!(seen.marked, want_marked, "marked states, {}", shape());
+            let plain: Vec<NodeId> = got.iter().map(|&(v, _)| v).collect();
+            assert_eq!(prepared.eval_unranked(t), plain, "{}", shape());
+            selections += got.len();
+        }
+        assert!(selections > 0, "{states} states select something");
+    }
+}
+
+/// The top-down pass walked with explicit state sets: the number of
+/// distinct memo keys `(G, slot, other child's state, label)` over the
+/// encoded edges of `tree`, each of which costs the pass `|Q|` lookups.
+fn distinct_memo_keys(total: &Dbta, tree: &Tree, sigma: usize) -> usize {
+    let enc = unranked::encoded_alphabet_len(sigma);
+    let ext = |v: NodeId| ext_symbol(tree.label(v), 0, enc);
+    let nil_leaf = ext_symbol(unranked::nil_symbol(sigma), 0, enc);
+    let nil = total.transition(&[], nil_leaf).unwrap();
+    let n = tree.num_nodes();
+    let (mut left, mut right) = (vec![nil; n], vec![nil; n]);
+    for v in tree.postorder() {
+        let mut chain = nil;
+        for &c in tree.children(v).iter().rev() {
+            right[c.index()] = chain;
+            chain = total.transition(&[left[c.index()], chain], ext(c)).unwrap();
+        }
+        left[v.index()] = chain;
+    }
+    let q = total.num_states();
+    let mut good = vec![Vec::new(); n];
+    good[tree.root().index()] = (0..q)
+        .map(|i| total.is_final(StateId::from_index(i)))
+        .collect::<Vec<bool>>();
+    let mut keys = HashSet::new();
+    for v in tree.preorder() {
+        let mut from = v;
+        for &c in tree.children(v) {
+            let first = from == v;
+            let other = if first {
+                right[v.index()]
+            } else {
+                left[from.index()]
+            };
+            let outer = &good[from.index()];
+            let set = (0..q)
+                .map(|i| {
+                    let s = StateId::from_index(i);
+                    let pair = if first { [s, other] } else { [other, s] };
+                    outer[total.transition(&pair, ext(from)).unwrap().index()]
+                })
+                .collect();
+            keys.insert((outer.clone(), first, other, ext(from)));
+            good[c.index()] = set;
+            from = c;
+        }
+    }
+    keys.len()
+}
+
+fn lookups(prepared: &PreparedUnary, tree: &Tree) -> u64 {
+    let mut tally = Tally::new();
+    prepared.eval_unranked_with(tree, &mut tally);
+    tally.get(Counter::TableLookups)
+}
+
+#[test]
+fn lookups_are_one_per_child_plus_q_per_memo_key() {
+    let labels: Vec<Symbol> = (0..SIGMA).map(Symbol::from_index).collect();
+    let mut rng = StdRng::seed_from_u64(83);
+    let random = generate::random(&mut rng, &labels, 5_000, None);
+    for src in FORMULAS {
+        let mut alphabet = served_alphabet();
+        let d = compile(src, &mut alphabet);
+        let total = ops::totalize(&d);
+        let q = total.num_states() as u64;
+        let prepared = PreparedUnary::new(&d, SIGMA);
+        let formula = |t: &Tree| {
+            let n = t.num_nodes() as u64;
+            (n - 1) + q * distinct_memo_keys(&total, t, SIGMA) as u64
+        };
+        for t in [&random, &chain(&labels, 1_000), &star(&labels, 1_000)] {
+            assert_eq!(
+                lookups(&prepared, t),
+                formula(t),
+                "{src} on a {}-node tree",
+                t.num_nodes()
+            );
+        }
+        // a chain and a star meet the same keys at any length, so their
+        // pass 2 costs a constant number of lookups
+        for shape in [chain, star] {
+            let (small, large) = (shape(&labels, 1_000), shape(&labels, 20_000));
+            assert_eq!(
+                distinct_memo_keys(&total, &small, SIGMA),
+                distinct_memo_keys(&total, &large, SIGMA),
+                "{src}"
+            );
+            assert_eq!(lookups(&prepared, &large), formula(&large), "{src}");
+        }
+    }
+}
+
+#[test]
+fn warm_formulas_read_at_most_three_and_a_quarter_lookups_per_node() {
+    let labels: Vec<Symbol> = (0..SIGMA).map(Symbol::from_index).collect();
+    let mut rng = StdRng::seed_from_u64(14_000);
+    let t = generate::random(&mut rng, &labels, 14_000, None);
+    for src in &FORMULAS[..4] {
+        let mut alphabet = served_alphabet();
+        let prepared = PreparedUnary::new(&compile(src, &mut alphabet), SIGMA);
+        let per_node = lookups(&prepared, &t) as f64 / t.num_nodes() as f64;
+        assert!(per_node <= 3.25, "{src}: {per_node:.3} lookups per node");
     }
 }
