@@ -35,10 +35,12 @@
 //!
 //! `--overhead` times the Example 3.4 string query under each observer
 //! (Noop, Metrics, FlightRecorder, Watchdog, the full Tee stack, and the
-//! full stack with a live `qa-pulse` server + span profiler attached) and
-//! reports ns/step. With `--gate` it fails (exit 1) when an instrumented
-//! run exceeds *generous* bounds relative to Noop — wall-clock numbers are
-//! machine-dependent, so the gate only catches catastrophic regressions
+//! full stack with a live `qa-pulse` server + span profiler attached),
+//! interleaved over 21 rounds, and reports ns/step; every ratio is the
+//! median over rounds of the ratio within a round. With `--gate` it
+//! fails (exit 1) when an instrumented run exceeds *generous* bounds
+//! relative to Noop — wall-clock numbers are machine-dependent, so the
+//! gate only catches catastrophic regressions
 //! (an accidental allocation or syscall per event), not percent-level
 //! noise. The pulse row carries its own bound: serving plus profiling must
 //! stay within 10% of the plain full stack (or a small absolute ns/step

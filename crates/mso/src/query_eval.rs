@@ -13,9 +13,9 @@
 //! encoding (see [`crate::unranked`]). [`PreparedUnary::eval_unranked_with`]
 //! runs Figure 6 on that encoding *implicitly*: it walks the unranked tree
 //! itself, keeping per node the states of its child chain and of its
-//! later-sibling chain, and never builds the `2n + 1`-node encoded tree or
-//! a context for its `n + 1` `nil` leaves. Its top-down pass keeps no
-//! context table either: a node's context is the set `G_v ⊆ Q` of *good*
+//! later-sibling chain and its encoded parent, and never builds the
+//! `2n + 1`-node encoded tree or a context for its `n + 1` `nil` leaves.
+//! Its top-down pass keeps no context table either: a node's context is the set `G_v ⊆ Q` of *good*
 //! states, those under which the context reaches a final root, with
 //! `G_root = F` and, for a child in the left (right) slot of an encoded
 //! parent `p` whose other child is in state `r` (`l`),
@@ -151,9 +151,10 @@ impl PreparedUnary {
     /// children first and ascending ids visit parents first.
     ///
     /// The top-down pass carries one good-set id per node (see the module
-    /// doc): a node's set comes from its encoded parent's through the
-    /// per-run [`GoodSets`] memo, and the verdict tests the marked state's
-    /// bit. [`Counter::TableLookups`] counts the lookups performed: one
+    /// doc): in ascending id order, a node's set comes from that of its
+    /// encoded parent (recorded by the bottom-up pass, and of smaller id)
+    /// through the per-run [`GoodSets`] memo, and the verdict tests the
+    /// marked state's bit. [`Counter::TableLookups`] counts the lookups performed: one
     /// per child in the bottom-up pass and `|Q|` per memo miss in the
     /// top-down pass (the verdicts count [`Counter::SelectionChecks`]).
     /// `state_visit` fires once per lookup performed, so a profile is the
@@ -183,17 +184,25 @@ impl PreparedUnary {
             obs.checkpoint().ok()
         };
 
-        // Pass 1 (bottom-up): fold each node's children right to left.
+        // Pass 1 (bottom-up): fold each node's children right to left, and
+        // note each child's encoded parent for pass 2: its parent in whose
+        // left slot a first child sits, or the previous sibling in whose
+        // right slot a later child sits.
         let mut left = vec![nil; n];
         let mut right = vec![nil; n];
+        let mut up = vec![Slot::Left(tree.root()); n];
         phase(obs, "bottom-up pass", |obs| {
             for v in (0..n).rev().map(NodeId::from_index) {
                 step(obs, v)?;
                 let kids = tree.children(v);
                 obs.count(Counter::TableLookups, kids.len() as u64);
                 let mut chain = nil;
-                for &c in kids.iter().rev() {
+                for (i, &c) in kids.iter().enumerate().rev() {
                     right[c.index()] = chain;
+                    up[c.index()] = match i {
+                        0 => Slot::Left(v),
+                        _ => Slot::Right(kids[i - 1]),
+                    };
                     let ext = unmarked(c);
                     chain = d.transition(&[left[c.index()], right[c.index()]], ext)?;
                     obs.state_visit(Machine::Dbtar, chain.index() as u32, ext.index() as u32);
@@ -214,25 +223,21 @@ impl PreparedUnary {
         })?;
 
         // Pass 2 (top-down): good[v] is the id of G_v, the states of v's
-        // encoded subtree under which its context reaches a final root. A
-        // first child sits in its parent's left slot, a later child in its
-        // previous sibling's right slot; `from` is that encoded parent.
+        // encoded subtree under which its context reaches a final root,
+        // derived from its encoded parent's set, whose id is smaller.
         let mut sets = GoodSets::new(d, enc_sigma);
         let mut good = vec![sets.finals(d); n];
         phase(obs, "top-down pass", |obs| {
             for v in (0..n).map(NodeId::from_index) {
                 step(obs, v)?;
-                let mut from = v;
-                for &c in tree.children(v) {
-                    let slot = if from == v {
-                        Slot::Left(right[v.index()])
-                    } else {
-                        Slot::Right(left[from.index()])
-                    };
-                    good[c.index()] =
-                        sets.child(d, obs, good[from.index()], slot, unmarked(from))?;
-                    from = c;
+                if v == tree.root() {
+                    continue;
                 }
+                let (from, slot) = match up[v.index()] {
+                    Slot::Left(p) => (p, Slot::Left(right[p.index()])),
+                    Slot::Right(p) => (p, Slot::Right(left[p.index()])),
+                };
+                good[v.index()] = sets.child(d, obs, good[from.index()], slot, unmarked(from))?;
             }
             Some(())
         })?;
@@ -265,14 +270,14 @@ impl PreparedUnary {
     }
 }
 
-/// Where a child sits under its encoded parent, with the state of the
-/// parent's other child.
+/// The slot a node sits in under its encoded parent: the left one for a
+/// first child (under its parent), the right one for a later child (under
+/// its previous sibling). Pass 1 records the encoded parent; pass 2 hands
+/// [`GoodSets::child`] the state of the parent's other child.
 #[derive(Clone, Copy)]
-enum Slot {
-    /// The left (first-child) slot; the right child's state.
-    Left(StateId),
-    /// The right (next-sibling) slot; the left child's state.
-    Right(StateId),
+enum Slot<T> {
+    Left(T),
+    Right(T),
 }
 
 /// The sets of good states of one Figure 6 run, each interned under a
@@ -347,7 +352,7 @@ impl GoodSets {
         d: &Dbta,
         obs: &mut O,
         g: u32,
-        slot: Slot,
+        slot: Slot<StateId>,
         ext: Symbol,
     ) -> Option<u32> {
         let (other, side) = match slot {
@@ -372,7 +377,7 @@ impl GoodSets {
         d: &Dbta,
         obs: &mut O,
         g: u32,
-        slot: Slot,
+        slot: Slot<StateId>,
         ext: Symbol,
     ) -> Option<u32> {
         obs.count(Counter::TableLookups, self.num_states as u64);
