@@ -9,24 +9,29 @@
 //! `τ(t_v, v)` analogue) and one top-down pass (contexts, the
 //! `τ(t̄_v, v)` analogue).
 //!
-//! Unranked queries are compiled over the first-child/next-sibling (FCNS)
-//! encoding (see [`crate::unranked`]). [`PreparedUnary::eval_unranked_with`]
-//! runs Figure 6 on that encoding *implicitly*: it walks the unranked tree
-//! itself, keeping per node the states of its child chain and of its
-//! later-sibling chain and its encoded parent, and never builds the
-//! `2n + 1`-node encoded tree or a context for its `n + 1` `nil` leaves.
-//! Its top-down pass keeps no context table either: a node's context is
-//! the set `G_v ⊆ Q` of *good* states, those under which the context
-//! reaches a final root, with
-//! `G_root = F` and, for a child in the left (right) slot of an encoded
-//! parent `p` whose other child is in state `r` (`l`),
-//! `G_c = {q : δ(q, r, e_p) ∈ G_p}` (`{q : δ(l, q, e_p) ∈ G_p}`). `v` is
+//! Figure 6 is Figure 5 run on the first-child/next-sibling (FCNS)
+//! encoding (see [`crate::unranked`]), so the two share one top-down pass
+//! and one verdict loop; only their bottom-up passes differ. Each of those
+//! hands the shared pass, per node, its parent and its slot there, the
+//! tuple of its children's states and its label.
+//! [`PreparedUnary::eval_unranked_with`] runs Figure 6 on the encoding
+//! *implicitly*: it walks the unranked tree itself, keeping per node the
+//! states of its child chain and of its later-sibling chain (the two
+//! children of its encoded node) and its encoded parent, and never builds
+//! the `2n + 1`-node encoded tree or a context for its `n + 1` `nil`
+//! leaves.
+//!
+//! The top-down pass keeps no context table: a node's context is the set
+//! `G_v ⊆ Q` of *good* states, those under which the context reaches a
+//! final root, with `G_root = F` and, for the child in slot `i` of a parent
+//! `p` labeled `e_p` whose children are in states `q_0 … q_{k-1}`,
+//! `G_c = {q : δ(q_0 … q_{i-1} q q_{i+1} … q_{k-1}, e_p) ∈ G_p}`. `v` is
 //! selected iff its marked state lies in `G_v`. Each distinct set gets a
-//! dense id and each `(G_p, slot, other state, e_p)` is memoized, so the
-//! pass is one memo probe per node plus `|Q|` lookups per distinct key:
-//! `O(n + |Q| · keys)`, where the Figure 5 pass costs `O(n · |Q|)`.
+//! dense id and each `(G_p, the other children's states, i, k, e_p)` is
+//! memoized, so the pass is one memo probe per node plus `|Q|` lookups per
+//! distinct key: `O(n + |Q| · keys)` time, with `keys < n`.
 //! Selections come back in ascending [`NodeId`] order (document order for
-//! parsed documents), and every event names unranked node ids.
+//! parsed documents), and every event names the evaluated tree's node ids.
 //! [`qa_trees::fcns::encode_with_map`] remains for the naive reference,
 //! which marks encoded nodes.
 
@@ -51,8 +56,8 @@ pub fn eval_unary_ranked_naive(d: &Dbta, tree: &Tree, sigma: usize) -> Vec<NodeI
 
 /// The Figure 5 algorithm on the compiled automaton: one bottom-up pass
 /// computing the all-unmarked subtree state of every node, one top-down
-/// pass computing every node's *context table* (the function "state at `v`
-/// ↦ state at the root"), then a per-node verdict. `O(n · |Q|)`.
+/// pass computing every node's set of good states (see the module doc),
+/// then a per-node verdict. `O(n + |Q| · keys)` after totalizing `d`.
 pub fn eval_unary_ranked(d: &Dbta, tree: &Tree, sigma: usize) -> Vec<NodeId> {
     eval_unary_ranked_with(d, tree, sigma, &mut NoopObserver)
 }
@@ -139,28 +144,21 @@ impl PreparedUnary {
             .unwrap_or_default()
     }
 
-    /// The Figure 6 two-pass algorithm on the *implicit* first-child/
-    /// next-sibling encoding of `tree`: the encoded node of `v` has
-    /// `left[v]` (the state of `v`'s child chain) and `right[v]` (the
-    /// state of the chain of `v`'s later siblings) as its two children,
-    /// either one the `nil`-leaf state when the chain is empty. Nothing is
-    /// encoded and `nil` leaves get no context. Each selected node `v` in
-    /// ascending id order, with its marked state, goes through `pick`.
+    /// The Figure 6 bottom-up pass on the *implicit* first-child/
+    /// next-sibling encoding of `tree`, then [`top_down`]: the encoded node
+    /// of `v` has `[left, right]` as its child tuple, `left` the state of
+    /// `v`'s child chain and `right` that of the chain of `v`'s later
+    /// siblings, either one the `nil`-leaf state when the chain is empty.
+    /// Nothing is encoded and `nil` leaves get no context. Each selected
+    /// node `v` in ascending id order, with its marked state, goes through
+    /// `pick`.
     ///
-    /// It relies on [`Tree`]'s arena order: a node's id is larger than its
-    /// parent's and its earlier siblings', so descending ids visit
-    /// children first and ascending ids visit parents first.
-    ///
-    /// The top-down pass carries one good-set id per node (see the module
-    /// doc): in ascending id order, a node's set comes from that of its
-    /// encoded parent (recorded by the bottom-up pass, and of smaller id)
-    /// through the per-run [`GoodSets`] memo, and the verdict tests the
-    /// marked state's bit. [`Counter::TableLookups`] counts the lookups
-    /// performed: one per child in the bottom-up pass and `|Q|` per memo
-    /// miss in the top-down pass (the verdicts count
-    /// [`Counter::SelectionChecks`]).
-    /// `state_visit` fires once per lookup performed, so a profile is the
-    /// same for every run of one query on one document.
+    /// The pass folds each node's children right to left and counts one
+    /// [`Counter::TableLookups`] per child; `state_visit` fires once per
+    /// lookup performed, so a profile is the same for every run of one
+    /// query on one document. Each child's encoded parent is its parent
+    /// (left slot) if it is a first child and its previous sibling (right
+    /// slot) otherwise.
     ///
     /// Each pass counts `2` [`Counter::Steps`] per node and `1` more at
     /// the root, then polls [`Observer::checkpoint`]: a node stands for
@@ -173,147 +171,203 @@ impl PreparedUnary {
         &self,
         tree: &Tree,
         obs: &mut O,
-        mut pick: impl FnMut(NodeId, StateId) -> T,
+        pick: impl FnMut(NodeId, StateId) -> T,
     ) -> Option<Vec<T>> {
         let d = &self.total;
         obs.record(Series::MachineStates, d.num_states() as u64);
         let nil = self.nil?;
         let enc_sigma = encoded_alphabet_len(self.sigma);
-        let unmarked = |v: NodeId| ext_symbol(tree.label(v), 0, enc_sigma);
         let n = tree.num_nodes();
-        let step = |obs: &mut O, v: NodeId| {
-            obs.count(Counter::Steps, if v == tree.root() { 3 } else { 2 });
-            obs.checkpoint().ok()
-        };
+        let weight = |v: NodeId| if v == tree.root() { 3 } else { 2 };
 
-        // Pass 1 (bottom-up): fold each node's children right to left, and
-        // note each child's encoded parent for pass 2: its parent in whose
-        // left slot a first child sits, or the previous sibling in whose
-        // right slot a later child sits.
-        let mut left = vec![nil; n];
-        let mut right = vec![nil; n];
-        let mut up = vec![Slot::Left(tree.root()); n];
+        let mut kids = vec![[nil; 2]; n];
+        let mut up = vec![(tree.root(), 0); n];
         phase(obs, "bottom-up pass", |obs| {
             for v in (0..n).rev().map(NodeId::from_index) {
-                step(obs, v)?;
-                let kids = tree.children(v);
-                obs.count(Counter::TableLookups, kids.len() as u64);
+                step(obs, weight(v))?;
+                let children = tree.children(v);
+                obs.count(Counter::TableLookups, children.len() as u64);
                 let mut chain = nil;
-                for (i, &c) in kids.iter().enumerate().rev() {
-                    right[c.index()] = chain;
+                for (i, &c) in children.iter().enumerate().rev() {
+                    kids[c.index()][1] = chain;
                     up[c.index()] = match i {
-                        0 => Slot::Left(v),
-                        _ => Slot::Right(kids[i - 1]),
+                        0 => (v, 0),
+                        _ => (children[i - 1], 1),
                     };
-                    let ext = unmarked(c);
-                    chain = d.transition(&[left[c.index()], right[c.index()]], ext)?;
-                    obs.state_visit(Machine::Dbtar, chain.index() as u32, ext.index() as u32);
-                    if obs.is_enabled() {
-                        for from in [left[c.index()], right[c.index()]] {
-                            obs.transition_fired(
-                                Machine::Dbtar,
-                                from.index() as u32,
-                                ext.index() as u32,
-                                chain.index() as u32,
-                            );
-                        }
-                    }
+                    let ext = ext_symbol(tree.label(c), 0, enc_sigma);
+                    chain = d.transition(&kids[c.index()], ext)?;
+                    fired(obs, &kids[c.index()], ext, chain);
                 }
-                left[v.index()] = chain;
+                kids[v.index()][0] = chain;
             }
             Some(())
         })?;
-
-        // Pass 2 (top-down): good[v] is the id of G_v, the states of v's
-        // encoded subtree under which its context reaches a final root,
-        // derived from its encoded parent's set, whose id is smaller.
-        let mut sets = GoodSets::new(d, enc_sigma);
-        let mut good = vec![sets.finals(d); n];
-        phase(obs, "top-down pass", |obs| {
-            for v in (0..n).map(NodeId::from_index) {
-                step(obs, v)?;
-                if v == tree.root() {
-                    continue;
-                }
-                let (from, slot) = match up[v.index()] {
-                    Slot::Left(p) => (p, Slot::Left(right[p.index()])),
-                    Slot::Right(p) => (p, Slot::Right(left[p.index()])),
-                };
-                good[v.index()] = sets.child(d, obs, good[from.index()], slot, unmarked(from))?;
-            }
-            Some(())
-        })?;
-
-        // Verdicts: replace v's encoded subtree state by its marked variant.
-        phase(obs, "verdicts", |obs| {
-            let mut out = Vec::new();
-            for v in (0..n).map(NodeId::from_index) {
-                step(obs, v)?;
-                obs.count(Counter::SelectionChecks, 1);
-                let ext = ext_symbol(tree.label(v), 1, enc_sigma);
-                let Some(q) = d.transition(&[left[v.index()], right[v.index()]], ext) else {
-                    continue;
-                };
-                obs.state_visit(Machine::Dbtar, q.index() as u32, ext.index() as u32);
-                if sets.contains(good[v.index()], q) {
-                    // certificate: marking v drives the encoded run into
-                    // q, and v's context maps that to an accepting root.
-                    obs.config(q.index() as u32, v.index() as u32, 0);
-                    obs.selected(
-                        v.index() as u32,
-                        q.index() as u32,
-                        tree.label(v).index() as u32,
-                    );
-                    out.push(pick(v, q));
-                }
-            }
-            Some(out)
-        })
+        let sets = GoodSets::new(d, enc_sigma);
+        top_down(sets, tree, obs, weight, &up, |v| &kids[v.index()], pick)
     }
 }
 
-/// The slot a node sits in under its encoded parent: the left one for a
-/// first child (under its parent), the right one for a later child (under
-/// its previous sibling). Pass 1 records the encoded parent; pass 2 hands
-/// [`GoodSets::child`] the state of the parent's other child.
-#[derive(Clone, Copy)]
-enum Slot<T> {
-    Left(T),
-    Right(T),
+/// The Figure 5 bottom-up pass on an already-total automaton of rank `m`,
+/// then [`top_down`]: node `v`'s child tuple is `kids[v·m..][..arity(v)]`,
+/// and each child's parent and slot are its tree parent and child index.
+///
+/// Each pass counts one [`Counter::Steps`] per node and polls
+/// [`Observer::checkpoint`]; a budget-enforcing observer (a serving
+/// daemon's per-request watchdog) can therefore abort a runaway
+/// evaluation early. An aborted evaluation returns an empty selection —
+/// the caller distinguishes "nothing selected" from "budget tripped" by
+/// inspecting its watchdog. A tree of higher rank than the automaton
+/// selects nothing either.
+fn eval_total<O: Observer>(d: &Dbta, tree: &Tree, sigma: usize, obs: &mut O) -> Vec<NodeId> {
+    obs.record(Series::MachineStates, d.num_states() as u64);
+    let (n, m) = (tree.num_nodes(), d.max_rank());
+    let mut state = vec![StateId::from_index(0); n];
+    let mut kids = vec![StateId::from_index(0); n * m];
+    let mut up = vec![(tree.root(), 0); n];
+    let tuple = |v: NodeId| v.index() * m..v.index() * m + tree.arity(v);
+    phase(obs, "bottom-up pass", |obs| {
+        for v in (0..n).rev().map(NodeId::from_index) {
+            step(obs, 1)?;
+            obs.count(Counter::TableLookups, 1);
+            let row = kids.get_mut(tuple(v))?;
+            for ((i, &c), q) in tree.children(v).iter().enumerate().zip(row.iter_mut()) {
+                up[c.index()] = (v, i as u32);
+                *q = state[c.index()];
+            }
+            let ext = ext_symbol(tree.label(v), 0, sigma);
+            state[v.index()] = d.transition(row, ext)?;
+            fired(obs, row, ext, state[v.index()]);
+        }
+        Some(())
+    })
+    .and_then(|()| {
+        let sets = GoodSets::new(d, sigma);
+        top_down(sets, tree, obs, |_| 1, &up, |v| &kids[tuple(v)], |v, _| v)
+    })
+    .unwrap_or_default()
 }
 
-/// The sets of good states of one Figure 6 run, each interned under a
-/// dense id, and the memo `(G, slot and other child's state, label) → G'`
-/// that makes the top-down pass deterministic, the way on-the-fly subset
-/// construction memoizes subsets. Built per run, so a [`PreparedUnary`]
-/// shared between threads holds no mutable state; it grows with the
-/// number of distinct keys met, at most one per encoded edge.
-struct GoodSets {
-    num_states: usize,
-    /// Labels of the encoded alphabet, to pack a memo key.
-    enc_sigma: u64,
+/// Count `weight` [`Counter::Steps`] and poll the budget.
+#[inline]
+fn step<O: Observer>(obs: &mut O, weight: u64) -> Option<()> {
+    obs.count(Counter::Steps, weight);
+    obs.checkpoint().ok()
+}
+
+/// Report a bottom-up transition `δ(kids, ext) = q`: a `state_visit` of
+/// `q`, and one `transition_fired` per child when the observer listens.
+#[inline]
+fn fired<O: Observer>(obs: &mut O, kids: &[StateId], ext: Symbol, q: StateId) {
+    obs.state_visit(Machine::Dbtar, q.index() as u32, ext.index() as u32);
+    if obs.is_enabled() {
+        for from in kids {
+            obs.transition_fired(
+                Machine::Dbtar,
+                from.index() as u32,
+                ext.index() as u32,
+                q.index() as u32,
+            );
+        }
+    }
+}
+
+/// The top-down pass and the verdicts of Figures 5 and 6, over the tuples
+/// a bottom-up pass left: `up[v]` is `v`'s parent and slot (unused at the
+/// root) and `kids(v)` the states of `v`'s children. In ascending id
+/// order, a node's good set comes from that of its parent (of smaller id)
+/// through the [`GoodSets`] memo; the verdict then replaces `v`'s state by
+/// its marked variant `δ(kids(v), marked e_v)` and tests its bit. Each
+/// node counts `weight(v)` [`Counter::Steps`] per pass and polls the
+/// budget; each verdict counts a [`Counter::SelectionChecks`]. Each
+/// selected node, with its marked state, goes through `pick`.
+fn top_down<'k, O: Observer, T>(
+    mut sets: GoodSets<'_>,
+    tree: &Tree,
+    obs: &mut O,
+    weight: impl Fn(NodeId) -> u64,
+    up: &[(NodeId, u32)],
+    kids: impl Fn(NodeId) -> &'k [StateId],
+    mut pick: impl FnMut(NodeId, StateId) -> T,
+) -> Option<Vec<T>> {
+    let n = tree.num_nodes();
+    let mut good = vec![sets.finals(); n];
+    phase(obs, "top-down pass", |obs| {
+        for v in (0..n).map(NodeId::from_index) {
+            step(obs, weight(v))?;
+            if v == tree.root() {
+                continue;
+            }
+            let (p, hole) = up[v.index()];
+            let ext = ext_symbol(tree.label(p), 0, sets.alpha);
+            good[v.index()] = sets.child(obs, good[p.index()], kids(p), hole as usize, ext)?;
+        }
+        Some(())
+    })?;
+    phase(obs, "verdicts", |obs| {
+        let mut out = Vec::new();
+        for v in (0..n).map(NodeId::from_index) {
+            step(obs, weight(v))?;
+            obs.count(Counter::SelectionChecks, 1);
+            let ext = ext_symbol(tree.label(v), 1, sets.alpha);
+            let Some(q) = sets.d.transition(kids(v), ext) else {
+                continue;
+            };
+            obs.state_visit(Machine::Dbtar, q.index() as u32, ext.index() as u32);
+            if sets.contains(good[v.index()], q) {
+                // certificate: marking v drives the bottom-up run into q,
+                // and v's context maps that to an accepting root.
+                obs.config(q.index() as u32, v.index() as u32, 0);
+                obs.selected(
+                    v.index() as u32,
+                    q.index() as u32,
+                    tree.label(v).index() as u32,
+                );
+                out.push(pick(v, q));
+            }
+        }
+        Some(out)
+    })
+}
+
+/// The sets of good states of one run, each interned under a dense id, and
+/// the memo `(G, the parent's other children's states, slot, arity, label)
+/// → G'` that makes the top-down pass deterministic, the way on-the-fly
+/// subset construction memoizes subsets. Built per run, so a
+/// [`PreparedUnary`] shared between threads holds no mutable state; it
+/// grows with the number of distinct keys met, at most one per edge.
+struct GoodSets<'d> {
+    d: &'d Dbta,
+    /// Labels of the (marked) alphabet the run reads.
+    alpha: usize,
+    /// `|Q|^i` for every slot `i`, to take a slot's digit out of a row.
+    pow: Vec<u64>,
     /// `u64` words per set, `⌈|Q| / 64⌉`: one layout for every `|Q|`.
     words: usize,
     /// Set `g` is `bits[g·words..][..words]`, bit `q` standing for state `q`.
     bits: Vec<u64>,
     ids: HashMap<Box<[u64]>, u32>,
     memo: Memo,
-    /// The set being built on a memo miss.
+    /// The set and the child tuple being built on a memo miss.
     scratch: Vec<u64>,
+    tuple: Vec<StateId>,
 }
 
-impl GoodSets {
-    fn new(d: &Dbta, enc_sigma: usize) -> Self {
-        let num_states = d.num_states();
-        let words = num_states.div_ceil(64);
+impl<'d> GoodSets<'d> {
+    fn new(d: &'d Dbta, alpha: usize) -> Self {
+        let words = d.num_states().div_ceil(64);
+        let nq = d.num_states() as u64;
         GoodSets {
-            num_states,
-            enc_sigma: enc_sigma as u64,
+            d,
+            alpha,
+            pow: std::iter::successors(Some(1), |p| Some(p * nq))
+                .take(d.max_rank())
+                .collect(),
             words,
             bits: Vec::new(),
             ids: HashMap::new(),
             memo: Memo::new(),
             scratch: vec![0; words],
+            tuple: Vec::new(),
         }
     }
 
@@ -335,38 +389,45 @@ impl GoodSets {
     }
 
     /// `G_root = F`.
-    fn finals(&mut self, d: &Dbta) -> u32 {
+    fn finals(&mut self) -> u32 {
         self.scratch.fill(0);
-        for q in (0..self.num_states).filter(|&q| d.is_final(StateId::from_index(q))) {
-            self.scratch[q / 64] |= 1 << (q % 64);
+        for q in 0..self.d.num_states() {
+            if self.d.is_final(StateId::from_index(q)) {
+                self.scratch[q / 64] |= 1 << (q % 64);
+            }
         }
         self.intern()
     }
 
-    /// The good set of a child in `slot` under an encoded parent with good
-    /// set `g` and label `ext`: `{q : δ(q, r, ext) ∈ G}` in the left slot,
-    /// `{q : δ(l, q, ext) ∈ G}` in the right one. A memo hit costs no
-    /// lookup; a miss performs (and counts) `|Q|` of them. `None` when a
-    /// transition is missing.
+    /// The good set of the child in slot `hole` of a parent with good set
+    /// `g`, child tuple `tuple` and label `ext`: `{q : δ(tuple[hole ↦ q],
+    /// ext) ∈ G}`. The memo key packs the tuple in base `|Q|` with the
+    /// hole's digit subtracted, so it is computed without a branch per
+    /// slot; with the slot, the arity and the label it stays below
+    /// `(rank + 1)²` times the size of the materialized total table, and
+    /// so fits in a `u64`. A memo hit costs no lookup; a miss performs
+    /// (and counts) `|Q|` of them. `None` when a transition is missing.
     #[inline]
     fn child<O: Observer>(
         &mut self,
-        d: &Dbta,
         obs: &mut O,
         g: u32,
-        slot: Slot<StateId>,
+        tuple: &[StateId],
+        hole: usize,
         ext: Symbol,
     ) -> Option<u32> {
-        let (other, side) = match slot {
-            Slot::Left(r) => (r, 0),
-            Slot::Right(l) => (l, 1),
-        };
-        let ctx = (other.index() as u64 * self.enc_sigma + ext.index() as u64) << 1 | side;
-        match self.memo.get(g, ctx) {
+        let nq = self.d.num_states() as u64;
+        let row = tuple.iter().rev().fold(0, |r, q| r * nq + q.index() as u64);
+        let row = row - tuple[hole].index() as u64 * self.pow[hole];
+        let arities = self.pow.len() as u64 + 1;
+        let key = ((row * arities + hole as u64) * arities + tuple.len() as u64)
+            * self.alpha as u64
+            + ext.index() as u64;
+        match self.memo.get(g, key) {
             Ok(child) => Some(child),
             Err(at) => {
-                let child = self.refine(d, obs, g, slot, ext)?;
-                self.memo.insert(at, g, ctx, child);
+                let child = self.refine(obs, g, tuple, hole, ext)?;
+                self.memo.insert(at, g, key, child);
                 Some(child)
             }
         }
@@ -376,20 +437,19 @@ impl GoodSets {
     #[cold]
     fn refine<O: Observer>(
         &mut self,
-        d: &Dbta,
         obs: &mut O,
         g: u32,
-        slot: Slot<StateId>,
+        tuple: &[StateId],
+        hole: usize,
         ext: Symbol,
     ) -> Option<u32> {
-        obs.count(Counter::TableLookups, self.num_states as u64);
+        obs.count(Counter::TableLookups, self.d.num_states() as u64);
         self.scratch.fill(0);
-        for q in 0..self.num_states {
-            let pair = match slot {
-                Slot::Left(r) => [StateId::from_index(q), r],
-                Slot::Right(l) => [l, StateId::from_index(q)],
-            };
-            let here = d.transition(&pair, ext)?;
+        self.tuple.clear();
+        self.tuple.extend_from_slice(tuple);
+        for q in 0..self.d.num_states() {
+            self.tuple[hole] = StateId::from_index(q);
+            let here = self.d.transition(&self.tuple, ext)?;
             obs.state_visit(Machine::Dbtar, here.index() as u32, ext.index() as u32);
             if self.contains(g, here) {
                 self.scratch[q / 64] |= 1 << (q % 64);
@@ -399,7 +459,7 @@ impl GoodSets {
     }
 }
 
-/// The memo of [`GoodSets`]: `(g, ctx) → g'` by open addressing with
+/// The memo of [`GoodSets`]: `(g, key) → g'` by open addressing with
 /// linear probing, in a power-of-two table at most half full. Its keys
 /// are dense ids assigned by the run, the automaton and the alphabet's
 /// interning order, not values a document picks, so a fixed
@@ -407,7 +467,7 @@ impl GoodSets {
 /// container, a std `HashMap` with SipHash made the top-down pass ~24
 /// ns/node, against ~5 ns/node with this table.)
 struct Memo {
-    /// `(ctx, g, g')`, [`Memo::EMPTY`] in `g'` for a free slot.
+    /// `(key, g, g')`, [`Memo::EMPTY`] in `g'` for a free slot.
     slots: Vec<(u64, u32, u32)>,
     len: usize,
 }
@@ -422,41 +482,41 @@ impl Memo {
         }
     }
 
-    /// `g'` for `(g, ctx)`, or the free slot where it belongs.
+    /// `g'` for `(g, key)`, or the free slot where it belongs.
     #[inline]
-    fn get(&self, g: u32, ctx: u64) -> Result<u32, usize> {
+    fn get(&self, g: u32, key: u64) -> Result<u32, usize> {
         let mask = self.slots.len() - 1;
-        let mut i = Self::home(g, ctx) & mask;
+        let mut i = Self::home(g, key) & mask;
         loop {
             let (c, h, child) = self.slots[i];
             if child == Self::EMPTY {
                 return Err(i);
             }
-            if c == ctx && h == g {
+            if c == key && h == g {
                 return Ok(child);
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// Store `(g, ctx) → child` in the free slot `at` that `get` returned.
-    fn insert(&mut self, at: usize, g: u32, ctx: u64, child: u32) {
-        self.slots[at] = (ctx, g, child);
+    /// Store `(g, key) → child` in the free slot `at` that `get` returned.
+    fn insert(&mut self, at: usize, g: u32, key: u64, child: u32) {
+        self.slots[at] = (key, g, child);
         self.len += 1;
         if 2 * self.len > self.slots.len() {
             let grown = vec![(0, 0, Self::EMPTY); 2 * self.slots.len()];
             let old = std::mem::replace(&mut self.slots, grown);
-            for (ctx, g, child) in old.into_iter().filter(|e| e.2 != Self::EMPTY) {
-                if let Err(at) = self.get(g, ctx) {
-                    self.slots[at] = (ctx, g, child);
+            for (key, g, child) in old.into_iter().filter(|e| e.2 != Self::EMPTY) {
+                if let Err(at) = self.get(g, key) {
+                    self.slots[at] = (key, g, child);
                 }
             }
         }
     }
 
     #[inline]
-    fn home(g: u32, ctx: u64) -> usize {
-        let mix = (ctx ^ (g as u64).rotate_left(32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    fn home(g: u32, key: u64) -> usize {
+        let mix = (key ^ (g as u64).rotate_left(32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         (mix >> 32) as usize
     }
 }
@@ -470,123 +530,6 @@ fn phase<O: Observer, T>(
     obs.phase_start(name);
     let out = body(obs);
     obs.phase_end(name);
-    out
-}
-
-/// The Figure 5 two-pass algorithm on an already-total automaton.
-///
-/// Every node processed counts one `Counter::Steps` and polls
-/// [`Observer::checkpoint`]; a budget-enforcing observer (a serving
-/// daemon's per-request watchdog) can therefore abort a runaway
-/// evaluation early. An aborted evaluation returns an empty selection —
-/// the caller distinguishes "nothing selected" from "budget tripped" by
-/// inspecting its watchdog.
-fn eval_total<O: Observer>(d: &Dbta, tree: &Tree, sigma: usize, obs: &mut O) -> Vec<NodeId> {
-    obs.record(Series::MachineStates, d.num_states() as u64);
-    let unmarked = |s: Symbol| ext_symbol(s, 0, sigma);
-    let marked = |s: Symbol| ext_symbol(s, 1, sigma);
-
-    // Pass 1 (bottom-up): b[v] = state of the unmarked subtree t_v.
-    obs.phase_start("bottom-up pass");
-    let mut b: Vec<StateId> = vec![StateId::from_index(0); tree.num_nodes()];
-    let mut children: Vec<StateId> = Vec::new();
-    for v in tree.postorder() {
-        obs.count(Counter::Steps, 1);
-        if obs.checkpoint().is_err() {
-            obs.phase_end("bottom-up pass");
-            return Vec::new();
-        }
-        children.clear();
-        children.extend(tree.children(v).iter().map(|c| b[c.index()]));
-        obs.count(Counter::TableLookups, 1);
-        let ext = unmarked(tree.label(v));
-        let Some(q) = d.transition(&children, ext) else {
-            // total automaton ⇒ only possible if the tree's rank exceeds
-            // the automaton's; nothing is selected then.
-            obs.phase_end("bottom-up pass");
-            return Vec::new();
-        };
-        b[v.index()] = q;
-        obs.state_visit(Machine::Dbtar, q.index() as u32, ext.index() as u32);
-        if obs.is_enabled() {
-            for &c in &children {
-                obs.transition_fired(
-                    Machine::Dbtar,
-                    c.index() as u32,
-                    ext.index() as u32,
-                    q.index() as u32,
-                );
-            }
-        }
-    }
-    obs.phase_end("bottom-up pass");
-
-    // Pass 2 (top-down): ctx[v·|Q| + q] = root state if v's subtree
-    // evaluated to q (everything outside v unmarked).
-    obs.phase_start("top-down pass");
-    let nq = d.num_states();
-    let mut ctx: Vec<StateId> = vec![StateId::from_index(0); tree.num_nodes() * nq];
-    let root = tree.root().index() * nq;
-    for (q, slot) in ctx[root..root + nq].iter_mut().enumerate() {
-        *slot = StateId::from_index(q);
-    }
-    let mut table: Vec<StateId> = Vec::with_capacity(nq);
-    for v in tree.preorder() {
-        obs.count(Counter::Steps, 1);
-        if obs.checkpoint().is_err() {
-            obs.phase_end("top-down pass");
-            return Vec::new();
-        }
-        table.clear();
-        table.extend_from_slice(&ctx[v.index() * nq..][..nq]);
-        let kids = tree.children(v);
-        children.clear();
-        children.extend(kids.iter().map(|c| b[c.index()]));
-        let ext = unmarked(tree.label(v));
-        for (i, &c) in kids.iter().enumerate() {
-            for q_idx in 0..nq {
-                children[i] = StateId::from_index(q_idx);
-                obs.count(Counter::TableLookups, 1);
-                let here = d.transition(&children, ext).expect("totalized");
-                obs.state_visit(Machine::Dbtar, here.index() as u32, ext.index() as u32);
-                ctx[c.index() * nq + q_idx] = table[here.index()];
-            }
-            children[i] = b[c.index()];
-        }
-    }
-    obs.phase_end("top-down pass");
-
-    // Verdicts: replace v's subtree state by its marked variant.
-    obs.phase_start("verdicts");
-    let mut out = Vec::new();
-    for v in tree.nodes() {
-        obs.count(Counter::Steps, 1);
-        if obs.checkpoint().is_err() {
-            obs.phase_end("verdicts");
-            return Vec::new();
-        }
-        children.clear();
-        children.extend(tree.children(v).iter().map(|c| b[c.index()]));
-        obs.count(Counter::SelectionChecks, 1);
-        let ext = marked(tree.label(v));
-        if let Some(q_marked) = d.transition(&children, ext) {
-            obs.state_visit(Machine::Dbtar, q_marked.index() as u32, ext.index() as u32);
-            let root_state = ctx[v.index() * nq + q_marked.index()];
-            if d.is_final(root_state) {
-                // certificate: marking v drives the bottom-up run
-                // into q_marked, and v's context maps that to an
-                // accepting root state.
-                obs.config(q_marked.index() as u32, v.index() as u32, 0);
-                obs.selected(
-                    v.index() as u32,
-                    q_marked.index() as u32,
-                    tree.label(v).index() as u32,
-                );
-                out.push(v);
-            }
-        }
-    }
-    obs.phase_end("verdicts");
     out
 }
 

@@ -3,7 +3,10 @@
 //! the explicit encoding (for automata of any width), report unranked node
 //! ids in their events, return selections in ascending id order, count the
 //! encoded run's steps, and perform one table lookup per child plus `|Q|`
-//! per distinct good-set memo key.
+//! per distinct good-set memo key. Figures 5 and 6 share their top-down
+//! pass, so every verdict is also checked against an oracle that shares no
+//! code with it: one bottom-up `Dbta::run_table` per marked node, on the
+//! encoding and, for random total rank-3 automata, on ranked trees.
 
 use std::collections::HashSet;
 
@@ -11,7 +14,8 @@ use query_automata::base::rng::{Rng, StdRng};
 use query_automata::core::ranked::{ops, Dbta};
 use query_automata::mso::compile_string::ext_symbol;
 use query_automata::mso::query_eval::{
-    eval_unary_ranked_with, eval_unary_unranked, eval_unary_unranked_naive,
+    eval_unary_ranked, eval_unary_ranked_naive, eval_unary_ranked_with, eval_unary_unranked,
+    eval_unary_unranked_naive,
 };
 use query_automata::mso::{unranked, PreparedUnary};
 use query_automata::obs::{Counter, Machine, Tally};
@@ -75,8 +79,9 @@ impl Observer for Verdicts {
     }
 }
 
-/// The oracle: the ranked Figure 5 run on the explicit encoding, mapped
-/// back. Returns the selected `(node, marked state)` pairs in ascending
+/// The ranked Figure 5 run on the explicit encoding, mapped back: it
+/// checks the implicit encoding, though it runs the same top-down pass as
+/// the code under test ([`marked_runs`] shares none). Returns the selected `(node, marked state)` pairs in ascending
 /// node order and every node's marked state.
 fn encoded_run(d: &Dbta, tree: &Tree, sigma: usize) -> (Vec<(NodeId, u32)>, Vec<u32>) {
     let (enc, map) = fcns::encode_with_map(tree, unranked::nil_symbol(sigma));
@@ -96,6 +101,40 @@ fn encoded_run(d: &Dbta, tree: &Tree, sigma: usize) -> (Vec<(NodeId, u32)>, Vec<
             marked[v.index()] = q;
         }
     }
+    (picks, marked)
+}
+
+/// The oracle that shares no code with the evaluator: for each node `v`,
+/// one bottom-up [`Dbta::run_table`] of the totalized automaton over the
+/// explicit encoding with `v`'s encoded node marked. Returns, like
+/// [`encoded_run`], the selected `(node, marked state)` pairs (a final
+/// root) in ascending node order and every node's marked state (the state
+/// the run reaches at the marked node).
+fn marked_runs(d: &Dbta, tree: &Tree, sigma: usize) -> (Vec<(NodeId, u32)>, Vec<u32>) {
+    let total = ops::totalize(d);
+    let (enc, map) = fcns::encode_with_map(tree, unranked::nil_symbol(sigma));
+    let enc_sigma = unranked::encoded_alphabet_len(sigma);
+    // unmarked, a label is its own extended symbol: mark one node at a
+    // time in place rather than copying the tree per node with mark_tree
+    let mut t = enc.clone();
+    let mut marked = vec![u32::MAX; tree.num_nodes()];
+    let mut picks = Vec::new();
+    for e in enc.nodes() {
+        let Some(v) = map[e.index()] else {
+            continue;
+        };
+        t.set_label(e, ext_symbol(enc.label(e), 1, enc_sigma));
+        let states = total
+            .run_table(&t)
+            .expect("a total automaton runs on every binary tree");
+        t.set_label(e, enc.label(e));
+        let q = states[e.index()].index() as u32;
+        marked[v.index()] = q;
+        if total.is_final(states[enc.root().index()]) {
+            picks.push((v, q));
+        }
+    }
+    picks.sort_unstable();
     (picks, marked)
 }
 
@@ -155,6 +194,11 @@ fn implicit_fcns_agrees_with_the_encoded_run() {
             assert_eq!(seen.marked, want_marked, "marked states, {}", shape());
             let plain: Vec<NodeId> = got.iter().map(|&(v, _)| v).collect();
             assert_eq!(prepared.eval_unranked(t), plain, "{}", shape());
+            if t.num_nodes() <= 301 {
+                let (picks, marked) = marked_runs(&d, t, SIGMA);
+                assert_eq!(got, picks, "per-node runs, {}", shape());
+                assert_eq!(seen.marked, marked, "per-node marked states, {}", shape());
+            }
             if t.num_nodes() <= 12 {
                 assert_eq!(
                     plain,
@@ -301,6 +345,9 @@ fn sets_wider_than_a_word_agree_with_the_encoded_run() {
             assert_eq!(seen.marked, want_marked, "marked states, {}", shape());
             let plain: Vec<NodeId> = got.iter().map(|&(v, _)| v).collect();
             assert_eq!(prepared.eval_unranked(t), plain, "{}", shape());
+            let (picks, marked) = marked_runs(&d, t, SIGMA);
+            assert_eq!(got, picks, "per-node runs, {}", shape());
+            assert_eq!(seen.marked, marked, "per-node marked states, {}", shape());
             selections += got.len();
         }
         assert!(selections > 0, "{states} states select something");
@@ -410,4 +457,53 @@ fn warm_formulas_read_at_most_three_and_a_quarter_lookups_per_node() {
         let per_node = lookups(&prepared, &t) as f64 / t.num_nodes() as f64;
         assert!(per_node <= 3.25, "{src}: {per_node:.3} lookups per node");
     }
+}
+
+/// A random total automaton of rank 3 over the marked alphabet of `sigma`
+/// labels with `states` states: every transition of every arity 0–3 is
+/// drawn uniformly, and each state is final with probability one half.
+fn random_total_rank3(rng: &mut StdRng, states: usize, sigma: usize) -> Dbta {
+    let mut d = Dbta::new(2 * sigma, 3);
+    let qs: Vec<StateId> = (0..states).map(|_| d.add_state()).collect();
+    for a in (0..2 * sigma).map(Symbol::from_index) {
+        for arity in 0..=3u32 {
+            for row in 0..states.pow(arity) {
+                let tuple: Vec<StateId> = (0..arity)
+                    .map(|i| qs[row / states.pow(i) % states])
+                    .collect();
+                d.set_transition(&tuple, a, qs[rng.gen_range(0..states)]);
+            }
+        }
+    }
+    for &q in &qs {
+        d.set_final(q, rng.gen_bool(0.5));
+    }
+    d
+}
+
+/// Figure 5 on rank-3 trees, where a parent's child tuple has up to three
+/// slots and nodes of every arity meet, against the naive per-node re-run.
+/// A memo key that forgot a child tuple's arity or the hole's slot would
+/// hand one sibling another's good set.
+#[test]
+fn random_total_rank3_automata_agree_with_the_naive_run() {
+    const SIGMA: usize = 2;
+    let labels: Vec<Symbol> = (0..SIGMA).map(Symbol::from_index).collect();
+    let mut rng = StdRng::seed_from_u64(89);
+    let mut selections = 0;
+    for round in 0..60 {
+        let states = 2 + round % 5;
+        let d = random_total_rank3(&mut rng, states, SIGMA);
+        let prepared = PreparedUnary::new(&d, SIGMA);
+        for _ in 0..8 {
+            let n = rng.gen_range(1..=30);
+            let t = generate::random(&mut rng, &labels, n, Some(3));
+            let want = eval_unary_ranked_naive(&d, &t, SIGMA);
+            let shape = || format!("round {round}, {states} states, {n}-node tree");
+            assert_eq!(eval_unary_ranked(&d, &t, SIGMA), want, "{}", shape());
+            assert_eq!(prepared.eval_ranked(&t), want, "{}", shape());
+            selections += want.len();
+        }
+    }
+    assert!(selections > 0);
 }

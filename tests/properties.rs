@@ -3,9 +3,10 @@
 //! every failure reproduces from its printed seed.
 
 use query_automata::base::rng::{Rng, StdRng};
-use query_automata::mso::{compile_string, naive, query_eval, unranked};
+use query_automata::mso::{compile_ranked, compile_string, naive, query_eval, unranked};
 use query_automata::prelude::*;
 use query_automata::strings::{ops, Regex};
+use query_automata::trees::generate;
 use query_automata::twoway::{behavior::BehaviorAnalysis, crossing, shepherdson};
 
 fn sym(i: usize) -> Symbol {
@@ -214,6 +215,128 @@ fn two_pass_matches_naive() {
         fast.sort_unstable();
         slow.sort_unstable();
         assert_eq!(fast, slow, "case {case}");
+    }
+}
+
+/// Random MSO formulas in the parser's text syntax, over labels `0` and `1`
+/// with the free first-order variable `v`: at most `size` atoms and
+/// quantifiers nested at most `depth` deep, at most one of them a set
+/// quantifier (the naive semantics enumerates every subset). Atoms are
+/// `label`, `edge`, `<`, `leaf`, `root` and, under a set quantifier, `in`;
+/// quantifiers are first-order (`ex`, `all`) and set (`ex2`, `all2`).
+struct FormulaGen {
+    rng: StdRng,
+    /// Variables in scope, innermost last: first-order, then set.
+    fo: Vec<String>,
+    sets: Vec<String>,
+    fresh: usize,
+    set_quantified: bool,
+}
+
+impl FormulaGen {
+    fn new(seed: u64) -> Self {
+        FormulaGen {
+            rng: StdRng::seed_from_u64(seed),
+            fo: vec!["v".to_string()],
+            sets: Vec::new(),
+            fresh: 0,
+            set_quantified: false,
+        }
+    }
+
+    fn formula(&mut self, size: usize, depth: usize) -> String {
+        let kinds = match (size, depth) {
+            (0 | 1, _) => 0..1,
+            (_, 0) => 1..3,
+            _ => 1..5,
+        };
+        match self.rng.gen_range(kinds) {
+            0 => self.atom(),
+            1 => format!("!{}", self.formula(size - 1, depth)),
+            2 => {
+                let left = self.rng.gen_range(1..size);
+                let op = ["&", "|"][self.rng.gen_range(0..2)];
+                let l = self.formula(left, depth);
+                format!("({l} {op} {})", self.formula(size - left, depth))
+            }
+            4 if !self.set_quantified => {
+                self.set_quantified = true;
+                let name = self.fresh("S");
+                self.sets.push(name.clone());
+                let body = self.formula(size - 1, depth - 1);
+                self.sets.pop();
+                let quantifier = ["ex2", "all2"][self.rng.gen_range(0..2)];
+                format!("({quantifier} {name}. {body})")
+            }
+            _ => {
+                let name = self.fresh("x");
+                self.fo.push(name.clone());
+                let body = self.formula(size - 1, depth - 1);
+                self.fo.pop();
+                let quantifier = ["ex", "all"][self.rng.gen_range(0..2)];
+                format!("({quantifier} {name}. {body})")
+            }
+        }
+    }
+
+    fn fresh(&mut self, prefix: &str) -> String {
+        self.fresh += 1;
+        format!("{prefix}{}", self.fresh)
+    }
+
+    /// An atom over the innermost first-order variable half the time (so
+    /// quantified variables get used), any in scope otherwise.
+    fn atom(&mut self) -> String {
+        let rng = &mut self.rng;
+        let x = match rng.gen_bool(0.5) {
+            true => self.fo.last(),
+            false => self.fo.get(rng.gen_range(0..self.fo.len())),
+        };
+        let x = x.expect("v is always in scope");
+        let y = &self.fo[rng.gen_range(0..self.fo.len())];
+        let kinds = if self.sets.is_empty() { 5 } else { 6 };
+        match rng.gen_range(0..kinds) {
+            0 => format!("label({x}, {})", rng.gen_range(0..2)),
+            1 => format!("edge({x}, {y})"),
+            2 => format!("{x} < {y}"),
+            3 => format!("leaf({x})"),
+            4 => format!("root({x})"),
+            _ => format!("{x} in {}", self.sets[rng.gen_range(0..self.sets.len())]),
+        }
+    }
+}
+
+/// Figure 5 (rank 2) and Figure 6 agree with the naive MSO semantics on
+/// random formulas and random trees of at most 8 nodes. Compiling is the
+/// cost (`leaf` and `root` hide a quantifier each), so formulas keep to
+/// four atoms and one explicit quantifier level: about 5 s in a debug
+/// build.
+#[test]
+fn random_formulas_agree_with_naive_on_figures_5_and_6() {
+    for seed in 0..16 {
+        let mut alphabet = Alphabet::from_names(["0", "1"]);
+        let src = FormulaGen::new(seed).formula(4, 1);
+        let why = |e: Error| format!("seed {seed}: {src}: {e}");
+        let phi = parse_mso(&src, &mut alphabet).map_err(why).unwrap();
+        let ranked = compile_ranked::compile_unary(&phi, "v", 2, 2)
+            .map_err(why)
+            .unwrap();
+        let unranked = unranked::compile_unary(&phi, "v", 2).map_err(why).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..6 {
+            let n = rng.gen_range(1..=8);
+            let binary = generate::random(&mut rng, &[sym(0), sym(1)], n, Some(2));
+            let any = random_tree(&mut rng, 8);
+            let cases = [
+                (&binary, query_eval::eval_unary_ranked(&ranked, &binary, 2)),
+                (&any, query_eval::eval_unary_unranked(&unranked, &any, 2)),
+            ];
+            for (t, got) in cases {
+                let want = naive::query(naive::Structure::Tree(t), &phi, "v").unwrap();
+                let got: Vec<usize> = got.into_iter().map(NodeId::index).collect();
+                assert_eq!(got, want, "seed {seed}: {src} on {}", t.render(&alphabet));
+            }
+        }
     }
 }
 
