@@ -111,6 +111,27 @@ impl<'a> ObjectWriter<'a> {
         self.out.push(']');
     }
 
+    /// `"key": [{…}, {…}]`: one object per item, each written by `build`
+    /// straight into this writer's output.
+    pub fn field_objects<T>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        mut build: impl FnMut(&mut ObjectWriter, T),
+    ) {
+        self.key(key);
+        self.out.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            let mut w = ObjectWriter::new(self.out);
+            build(&mut w, item);
+            w.finish();
+        }
+        self.out.push(']');
+    }
+
     /// Close the object (`}`).
     pub fn finish(self) {
         self.out.push('}');
@@ -609,6 +630,31 @@ mod tests {
             w.field_u64_array("d", [1, 2]);
         });
         assert_eq!(s, r#"{"a":1,"b":"x","c":false,"d":[1,2]}"#);
+    }
+
+    #[test]
+    fn objects_written_in_place_match_an_array_of_objects() {
+        let items = [(1, "x"), (22, "y\"")];
+        let build = |w: &mut ObjectWriter, (n, s): (u64, &str)| {
+            w.field_u64("n", n);
+            w.field_str("s", s);
+        };
+        for len in 0..=items.len() {
+            let in_place = object(|w| {
+                w.field_objects("items", items[..len].iter().copied(), build);
+                w.field_u64("after", 3);
+            });
+            let joined = array(items[..len].iter().map(|&item| object(|w| build(w, item))));
+            let expected = object(|w| {
+                w.field_raw("items", &joined);
+                w.field_u64("after", 3);
+            });
+            assert_eq!(in_place, expected);
+        }
+        assert_eq!(
+            object(|w| w.field_objects("items", items, build)),
+            r#"{"items":[{"n":1,"s":"x"},{"n":22,"s":"y\""}]}"#
+        );
     }
 
     #[test]

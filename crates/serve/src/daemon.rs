@@ -610,16 +610,11 @@ fn post_query(core: &Arc<Core>, req: &ApiRequest) -> ApiResponse {
             w.field_u64("count", explained.len() as u64);
             w.field_u64_array("selected", explained.iter().map(|(v, _)| v.index() as u64));
             if why {
-                w.field_raw(
-                    "why_selected",
-                    &json::array(explained.iter().map(|(v, state)| {
-                        json::object(|w| {
-                            w.field_u64("node", v.index() as u64);
-                            w.field_u64("marked_state", u64::from(*state));
-                            w.field_str("label", labels.name(tree.label(*v)));
-                        })
-                    })),
-                );
+                w.field_objects("why_selected", &explained, |w, &(v, state)| {
+                    w.field_u64("node", v.index() as u64);
+                    w.field_u64("marked_state", u64::from(state));
+                    w.field_str("label", labels.name(tree.label(v)));
+                });
             }
             if let Some(sp) = &scope {
                 w.field_raw("explain", &sp.explain_run().to_json());
@@ -702,18 +697,13 @@ fn get_docs(core: &Arc<Core>) -> ApiResponse {
     let body = json::object(|w| {
         w.field_u64("count", store.len() as u64);
         w.field_u64("sigma", store.alphabet().len() as u64);
-        w.field_raw(
-            "docs",
-            &json::array(store.docs().iter().enumerate().map(|(id, d)| {
-                json::object(|w| {
-                    w.field_u64("id", id as u64);
-                    w.field_str("name", &d.name);
-                    w.field_str("fingerprint", &format!("{:016x}", d.fingerprint));
-                    w.field_u64("nodes", d.nodes as u64);
-                    w.field_u64("height", d.height as u64);
-                })
-            })),
-        );
+        w.field_objects("docs", store.docs().iter().enumerate(), |w, (id, d)| {
+            w.field_u64("id", id as u64);
+            w.field_str("name", &d.name);
+            w.field_str("fingerprint", &format!("{:016x}", d.fingerprint));
+            w.field_u64("nodes", d.nodes as u64);
+            w.field_u64("height", d.height as u64);
+        });
     });
     ApiResponse::json(200, body)
 }
@@ -731,33 +721,23 @@ fn get_queries(core: &Arc<Core>) -> ApiResponse {
         .collect();
     let body = json::object(|w| {
         w.field_u64("sigma", sigma as u64);
-        w.field_raw(
-            "registered",
-            &json::array(registered.iter().map(|(id, formula)| {
-                let hash = qa_obs::fnv1a64(formula.trim().as_bytes());
-                json::object(|w| {
-                    w.field_str("id", id);
-                    w.field_str("formula", formula);
-                    w.field_str("query", &format!("{hash:016x}"));
-                    if let Some(&(states, sigma)) = resident.get(&hash) {
-                        w.field_u64("states", states as u64);
-                        w.field_u64("sigma", sigma as u64);
-                    }
-                })
-            })),
-        );
-        w.field_raw(
-            "compiled",
-            &json::array(cache.entries().map(|(q, entry_hits)| {
-                json::object(|w| {
-                    w.field_str("query", &format!("{:016x}", q.hash));
-                    w.field_str("formula", &q.formula);
-                    w.field_u64("sigma", q.sigma as u64);
-                    w.field_u64("states", q.states as u64);
-                    w.field_u64("hits", entry_hits);
-                })
-            })),
-        );
+        w.field_objects("registered", registered.iter(), |w, (id, formula)| {
+            let hash = qa_obs::fnv1a64(formula.trim().as_bytes());
+            w.field_str("id", id);
+            w.field_str("formula", formula);
+            w.field_str("query", &format!("{hash:016x}"));
+            if let Some(&(states, sigma)) = resident.get(&hash) {
+                w.field_u64("states", states as u64);
+                w.field_u64("sigma", sigma as u64);
+            }
+        });
+        w.field_objects("compiled", cache.entries(), |w, (q, entry_hits)| {
+            w.field_str("query", &format!("{:016x}", q.hash));
+            w.field_str("formula", &q.formula);
+            w.field_u64("sigma", q.sigma as u64);
+            w.field_u64("states", q.states as u64);
+            w.field_u64("hits", entry_hits);
+        });
         w.field_u64("hits", hits);
         w.field_u64("misses", misses);
         w.field_u64("evictions", evictions);

@@ -366,6 +366,37 @@ fn cold_and_warm_responses_are_byte_identical_modulo_latency() {
     daemon.shutdown();
 }
 
+/// `why: true` bodies, minus their `micros` field, as the daemon wrote
+/// them when it built each `why_selected` entry as its own string and
+/// joined them: writing the entries in place must not move a byte.
+#[test]
+fn why_true_bodies_keep_their_bytes() {
+    let daemon = ServeDaemon::start(quiet_config()).expect("daemon starts");
+    let addr = daemon.addr();
+    assert_eq!(put_doc(addr, "d", "(a (b c) (b (a c)) b)").status, 200);
+    let expected = [
+        ("label(v, b)", GOLDEN_LABEL_B),
+        ("leaf(v)", GOLDEN_LEAF),
+        ("label(v, d)", GOLDEN_NONE),
+    ];
+    for (formula, golden) in expected {
+        let body = json::object(|w| {
+            w.field_str("formula", formula);
+            w.field_str("doc", "d");
+            w.field_bool("why", true);
+        });
+        let resp = post_query(addr, &body);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let (kept, _micros) = resp.body.split_once(",\"micros\"").expect("has micros");
+        assert_eq!(kept, golden, "{formula}");
+    }
+    daemon.shutdown();
+}
+
+const GOLDEN_LABEL_B: &str = r#"{"doc":"d","query":"89e01b0f2672187a","sigma":4,"states":3,"count":3,"selected":[1,3,6],"why_selected":[{"node":1,"marked_state":1,"label":"b"},{"node":3,"marked_state":1,"label":"b"},{"node":6,"marked_state":1,"label":"b"}]"#;
+const GOLDEN_LEAF: &str = r#"{"doc":"d","query":"e8f350b34b998cbe","sigma":4,"states":4,"count":3,"selected":[2,5,6],"why_selected":[{"node":2,"marked_state":2,"label":"c"},{"node":5,"marked_state":2,"label":"c"},{"node":6,"marked_state":2,"label":"b"}]"#;
+const GOLDEN_NONE: &str = r#"{"doc":"d","query":"89d98f0f266cbee8","sigma":5,"states":3,"count":0,"selected":[],"why_selected":[]"#;
+
 fn field_u64(body: &str, key: &str) -> u64 {
     json::parse(body)
         .expect("response is JSON")
