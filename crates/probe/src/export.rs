@@ -3,6 +3,7 @@
 //! [`Metrics`] registries.
 
 use qa_obs::json::{self, ParseError, Value};
+use qa_obs::stats::bucket_le;
 use qa_obs::{Counter, Metrics, RunTrace, Series};
 
 /// Serialize a trace's phase spans to Chrome trace-event JSON.
@@ -101,20 +102,9 @@ fn metadata_event(kind: &str, pid: u64, tid: Option<u64>, name: &str) -> String 
     })
 }
 
-/// Upper bound (inclusive, integer-valued) of histogram bucket `i` under
-/// qa-obs's power-of-two scheme: bucket 0 holds the value 0, bucket `i ≥ 1`
-/// holds `[2^(i-1), 2^i)`.
-fn bucket_le(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else {
-        (1u64 << i.min(63)) - 1
-    }
-}
-
 /// Escape a Prometheus label value: `\` → `\\`, `"` → `\"`, newline →
 /// `\n` (the three escapes the exposition format defines).
-fn escape_label_value(v: &str) -> String {
+pub fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {
@@ -275,13 +265,9 @@ mod tests {
     }
 
     #[test]
-    fn bucket_le_matches_bucket_index() {
-        // bucket_le(i) must be the largest integer mapped to bucket i.
-        use qa_obs::metrics::bucket_index;
-        for i in 0..20usize {
-            assert_eq!(bucket_index(bucket_le(i)), i);
-            assert_eq!(bucket_index(bucket_le(i) + 1), i + 1);
-        }
+    fn label_escaping_handles_quotes_and_backslashes() {
+        assert_eq!(escape_label_value(r#"a"b\c"#), r#"a\"b\\c"#);
+        assert_eq!(escape_label_value("x\ny"), "x\\ny");
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! `render(parse(render(m))) == render(m)`.
 
 use qa_obs::metrics::HISTOGRAM_BUCKETS;
+use qa_obs::stats::bucket_le;
 use qa_obs::{Counter, HistogramSnapshot, Metrics, Series};
 
 /// One sample line of an exposition: `name{labels} value`.
@@ -170,7 +171,7 @@ impl Scrape {
         let first = buckets.iter().position(|&b| b != 0);
         let last = buckets.iter().rposition(|&b| b != 0);
         let (min, max) = match (first, last) {
-            (Some(f), Some(l)) => (bucket_lower_bound(f), bucket_le_value(l)),
+            (Some(f), Some(l)) => (bucket_lower_bound(f), bucket_le(l)),
             _ => (0, 0),
         };
         Ok(Some(HistogramSnapshot {
@@ -204,15 +205,6 @@ fn bucket_lower_bound(i: usize) -> u64 {
         0
     } else {
         1u64 << (i - 1)
-    }
-}
-
-/// Largest value mapped to bucket `i` (the renderer's `le`).
-fn bucket_le_value(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else {
-        (1u64 << i.min(63)) - 1
     }
 }
 

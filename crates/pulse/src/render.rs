@@ -21,7 +21,7 @@
 //! Prometheus") without dragging in a real Prometheus parser.
 
 use qa_obs::Metrics;
-use qa_probe::export::prometheus_text;
+use qa_probe::export::{escape_label_value, prometheus_text};
 
 use crate::heap::HeapStats;
 
@@ -30,21 +30,6 @@ pub const BUILD_VERSION: &str = env!("CARGO_PKG_VERSION");
 /// `rustc --version` of the toolchain that built this crate (captured by
 /// `build.rs`; `"unknown"` if the compiler could not be queried).
 pub const BUILD_RUSTC: &str = env!("QA_RUSTC_VERSION");
-
-/// Escape a Prometheus label value: `\` → `\\`, `"` → `\"`, newline →
-/// `\n` (the three escapes the exposition format defines).
-fn escape_label(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Render `metrics` in Prometheus text exposition format, extended with
 /// the `qa_build_info` gauge and (when heap accounting is live) the
@@ -58,8 +43,8 @@ pub fn metrics_text(metrics: &Metrics, prefix: &str) -> String {
     let mut out = prometheus_text(metrics, prefix);
     out.push_str(&format!(
         "# TYPE qa_build_info gauge\nqa_build_info{{version=\"{}\",rustc=\"{}\"}} 1\n",
-        escape_label(BUILD_VERSION),
-        escape_label(BUILD_RUSTC),
+        escape_label_value(BUILD_VERSION),
+        escape_label_value(BUILD_RUSTC),
     ));
     let heap = HeapStats::snapshot();
     if !heap.enabled() {
@@ -330,11 +315,5 @@ mod tests {
                     h_sum 9\n\
                     h_count 4\n";
         validate_prometheus(text).expect("histogram family");
-    }
-
-    #[test]
-    fn label_escaping_handles_quotes_and_backslashes() {
-        assert_eq!(escape_label(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(escape_label("x\ny"), "x\\ny");
     }
 }
