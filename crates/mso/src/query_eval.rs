@@ -229,6 +229,7 @@ fn eval_total<O: Observer>(d: &Dbta, tree: &Tree, sigma: usize, obs: &mut O) -> 
         for v in (0..n).rev().map(NodeId::from_index) {
             step(obs, 1)?;
             obs.count(Counter::TableLookups, 1);
+            // a row longer than the rank fails here or in the lookup
             let row = kids.get_mut(tuple(v))?;
             for ((i, &c), q) in tree.children(v).iter().enumerate().zip(row.iter_mut()) {
                 up[c.index()] = (v, i as u32);
