@@ -229,7 +229,8 @@ struct FormulaGen {
     /// Variables in scope, innermost last: first-order, then set.
     fo: Vec<String>,
     sets: Vec<String>,
-    fresh: usize,
+    /// Variables named so far, to keep every bound name fresh.
+    named: usize,
     set_quantified: bool,
 }
 
@@ -239,7 +240,7 @@ impl FormulaGen {
             rng: StdRng::seed_from_u64(seed),
             fo: vec!["v".to_string()],
             sets: Vec::new(),
-            fresh: 0,
+            named: 0,
             set_quantified: false,
         }
     }
@@ -280,20 +281,21 @@ impl FormulaGen {
     }
 
     fn fresh(&mut self, prefix: &str) -> String {
-        self.fresh += 1;
-        format!("{prefix}{}", self.fresh)
+        self.named += 1;
+        format!("{prefix}{}", self.named)
     }
 
     /// An atom over the innermost first-order variable half the time (so
     /// quantified variables get used), any in scope otherwise.
     fn atom(&mut self) -> String {
         let rng = &mut self.rng;
-        let x = match rng.gen_bool(0.5) {
-            true => self.fo.last(),
-            false => self.fo.get(rng.gen_range(0..self.fo.len())),
+        let innermost = self.fo.len() - 1;
+        let pick_innermost = rng.gen_bool(0.5);
+        let x = match pick_innermost {
+            true => &self.fo[innermost],
+            false => &self.fo[rng.gen_range(0..=innermost)],
         };
-        let x = x.expect("v is always in scope");
-        let y = &self.fo[rng.gen_range(0..self.fo.len())];
+        let y = &self.fo[rng.gen_range(0..=innermost)];
         let kinds = if self.sets.is_empty() { 5 } else { 6 };
         match rng.gen_range(0..kinds) {
             0 => format!("label({x}, {})", rng.gen_range(0..2)),
