@@ -51,17 +51,21 @@
 //! whole per-query evaluation (watchdog, per-job tally, one fold into a
 //! registry), against the bare Figure 6 run under `NoopObserver` for
 //! `label(v, a)` on a seeded 14 000-node tree over four labels; it must
-//! stay within 10% of noop or 10 extra ns/step.
+//! stay within 10% of noop or 10 extra ns/step. The "fleet job" row times
+//! `qa_flight::job::Arms::run`, one whole qa-fleet job that records no
+//! optional arm (watchdog, flight recorder, per-job tally folded into a
+//! registry once, span profiler), on the same word as the other rows, and
+//! is held to the noop bounds.
 //!
 //! `--par` runs a repetition-heavy batch (string queries over a small
 //! document pool plus repeated §6 decision calls) two ways — plain
 //! sequential engines, then `qa-par` with 4 workers and per-worker
 //! [`qa_par::BehaviorCache`]s — asserts the outcomes are identical, and
 //! reports the wall-clock speedup and cache hit rate to stdout and
-//! `BENCH_obs_par.json`. With `--gate` it fails unless the speedup is
-//! ≥ 2x and the caches actually hit. The speedup floor is deliberately
-//! achievable on a single-core runner: memoization, not the thread count,
-//! carries it.
+//! `BENCH_obs_par.json`. With `--gate` it writes no file and fails unless
+//! the speedup is ≥ 2x and the caches actually hit. The speedup floor is
+//! deliberately achievable on a single-core runner: memoization, not the
+//! thread count, carries it.
 
 use qa_base::{Alphabet, Symbol};
 use qa_obs::json::{object, ObjectWriter, Value};
@@ -364,7 +368,7 @@ fn check(baseline_path: &str, par_baseline_path: &str, tolerance: f64) -> usize 
 /// ratio instead of failing whichever row it happened to land on.
 fn overhead(gate: bool) -> usize {
     use qa_bench::black_box;
-    use qa_flight::{Budget, FlightRecorder, Watchdog};
+    use qa_flight::{job, Budget, FlightRecorder, Watchdog};
     use qa_obs::{Counter, NoopObserver, Tee};
 
     /// A scenario passes if EITHER bound holds.
@@ -418,6 +422,21 @@ fn overhead(gate: bool) -> usize {
         ),
         Budget::steps(u64::MAX),
     );
+    // One whole qa-fleet job on the roster's Example 3.4 entry, as the
+    // fleet runs a job that records no optional arm: `job::Arms::run` under
+    // the fleet's default budget, its tally folded into a registry once.
+    // Held to the noop bounds.
+    let fleet_job = job::roster().swap_remove(0);
+    let fleet_doc = job::Doc::Word(word.clone());
+    let fleet_budget = Budget::steps(job::DEFAULT_MAX_STEPS).with_wall(job::DEFAULT_MAX_WALL);
+    let fleet_registry = Metrics::new();
+    let (probe, _) =
+        job::Arms::default().run(&fleet_job, &fleet_doc, fleet_budget, &fleet_registry);
+    assert_eq!(
+        probe.tally.get(Counter::Steps),
+        steps,
+        "the fleet job runs the same steps as the bare query"
+    );
 
     let mut h = qa_bench::Harness::new("obs_overhead");
     let ns = h.interleaved(
@@ -436,6 +455,14 @@ fn overhead(gate: bool) -> usize {
             }),
             ("watchdog+flight+metrics", &mut || {
                 black_box(qa.query_with(&word, &mut stack).unwrap());
+            }),
+            ("fleet job", &mut || {
+                black_box(job::Arms::default().run(
+                    &fleet_job,
+                    &fleet_doc,
+                    fleet_budget,
+                    &fleet_registry,
+                ));
             }),
             ("stack+pulse(serve,profile)", &mut || {
                 black_box(qa.query_with(&word, &mut serve_stack).unwrap());
@@ -462,6 +489,7 @@ fn overhead(gate: bool) -> usize {
         "flight_recorder",
         "watchdog",
         "watchdog+flight+metrics",
+        "fleet job",
     ];
     for (row, name) in names.into_iter().enumerate() {
         let (ns_run, rel, extra_per_step) = paired(&ns[row], &ns[NOOP], steps);
@@ -485,13 +513,13 @@ fn overhead(gate: bool) -> usize {
     const MAX_SCOPE_EXTRA_NS_PER_STEP: f64 = 25.0;
     for (row, name, max_rel, max_extra) in [
         (
-            5,
+            6,
             "stack+pulse",
             MAX_PULSE_RELATIVE,
             MAX_PULSE_EXTRA_NS_PER_STEP,
         ),
         (
-            6,
+            7,
             "stack+scope",
             MAX_SCOPE_RELATIVE,
             MAX_SCOPE_EXTRA_NS_PER_STEP,
@@ -845,24 +873,11 @@ fn par_bench_inner(gate: bool, jobs: &[qa_par::Job<'_>], dbta: &qa_core::ranked:
         hit_rate * 100.0
     );
 
-    // Unified-schema export: `scenarios` holds the deterministic gated
-    // counters (--check reads them), `info` the machine-dependent
-    // wall-clock figures (never gated).
-    let info = object(|w| {
-        w.field_u64("workers", WORKERS as u64);
-        w.field_f64("seq_ns", seq_ns);
-        w.field_f64("par_ns", par_ns);
-        w.field_f64("speedup", speedup);
-        w.field_u64("stealing_cache_hits", hits);
-        w.field_u64("stealing_cache_misses", misses);
-        w.field_f64("hit_rate", hit_rate);
-    });
-    let report = suite_report("obs_par", &par_scenarios(jobs), Some(&info));
-    std::fs::write("BENCH_obs_par.json", format!("{report}\n")).expect("write BENCH_obs_par.json");
-    println!("wrote BENCH_obs_par.json");
-
     let mut violations = 0usize;
     if gate {
+        // The gate prints and judges only: rewriting the checked-in
+        // report's machine-dependent `info` block on every run would leave
+        // the tree dirty.
         if speedup < 2.0 {
             println!("gate: FAIL — speedup {speedup:.2}x < 2.0x");
             violations += 1;
@@ -874,6 +889,23 @@ fn par_bench_inner(gate: bool, jobs: &[qa_par::Job<'_>], dbta: &qa_core::ranked:
         if violations == 0 {
             println!("gate: OK — {speedup:.2}x speedup, {hits} cache hit(s)");
         }
+    } else {
+        // Unified-schema export: `scenarios` holds the deterministic gated
+        // counters (--check reads them), `info` the machine-dependent
+        // wall-clock figures (never gated).
+        let info = object(|w| {
+            w.field_u64("workers", WORKERS as u64);
+            w.field_f64("seq_ns", seq_ns);
+            w.field_f64("par_ns", par_ns);
+            w.field_f64("speedup", speedup);
+            w.field_u64("stealing_cache_hits", hits);
+            w.field_u64("stealing_cache_misses", misses);
+            w.field_f64("hit_rate", hit_rate);
+        });
+        let report = suite_report("obs_par", &par_scenarios(jobs), Some(&info));
+        std::fs::write("BENCH_obs_par.json", format!("{report}\n"))
+            .expect("write BENCH_obs_par.json");
+        println!("wrote BENCH_obs_par.json");
     }
     violations
 }

@@ -1,8 +1,8 @@
 //! `qa-fleet`: batch runner with always-on telemetry.
 //!
-//! Runs M example queries × K generated documents, each under a
-//! [`Watchdog`] with a [`FlightRecorder`] black box, aggregates per-run
-//! [`Metrics`] into one fleet profile, and exports:
+//! Runs M example queries × K generated documents, each one
+//! [`qa_flight::job`] (a watchdog, a flight-recorder black box, and a
+//! per-job tally folded into one fleet [`Metrics`] registry), and exports:
 //!
 //! - `metrics.prom` — Prometheus text exposition of the merged registry
 //!   (plus `qa_build_info` and `qa_heap_*` gauges, via `qa-pulse`);
@@ -42,9 +42,9 @@
 //! With `--serve ADDR` a [`PulseServer`] binds next to the batch and
 //! answers `GET /healthz`, `/readyz`, `/metrics`, `/flight`, `/events`,
 //! `/profile` — plus `/series` and `/alerts` when `--slo` attaches a live
-//! sentinel — *while the fleet runs*: each run's registry is merged into
-//! the served fleet registry as the run finishes (run-granularity
-//! freshness at zero per-event cost), and per-run observers additionally
+//! sentinel — *while the fleet runs*: each job's tally is folded into
+//! the served fleet registry as the job finishes (job-granularity
+//! freshness at zero per-event cost), and each job's events additionally
 //! feed a [`SharedFlight`] ring behind `/flight`. A post-run `/metrics` scrape is
 //! byte-identical to `metrics.prom`: both come from the same render over
 //! the same registry. The stdout lines `pulse: serving on <addr>` and
@@ -113,23 +113,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use qa_base::rng::{Rng, StdRng};
-use qa_base::{Alphabet, Symbol};
-use qa_core::ranked::query::example_4_4;
-use qa_core::unranked::query::{example_5_14, example_5_9};
-use qa_flight::{
-    parse_events, Budget, FlightRecorder, JobEvent, OneInN, Reservoir, Sampled, SharedEvents,
-    SharedFlight, Watchdog,
-};
-use qa_obs::{
-    percentile_sorted, render_events, Counter, Metrics, NoopObserver, RunTrace, Tee, TraceContext,
-};
+use qa_flight::job::{self, Arms};
+use qa_flight::{parse_events, Budget, JobEvent, OneInN, Reservoir, SharedEvents, SharedFlight};
+use qa_obs::{percentile_sorted, render_events, Counter, Metrics, RunTrace, TraceContext};
 use qa_probe::export::chrome_trace;
-use qa_pulse::{PulseServer, PulseState, SpanProfile, SpanProfiler, Weight};
+use qa_pulse::{PulseServer, PulseState, Weight};
 use qa_scope::ScopeProfiler;
 use qa_sentinel::{parse_rules, AlertRule, Replay, SharedSentinel};
-use qa_trees::Tree;
-use qa_twoway::string_qa::example_3_4_qa;
 
 // Opt-in heap accounting: build with `--features alloc-count` and every
 // `qa_heap_*` gauge on `/metrics` (and the `?weight=alloc` profile) goes
@@ -223,8 +213,8 @@ impl Default for Opts {
             sample_every: 8,
             reservoir: 4,
             scope: false,
-            max_steps: 10_000_000,
-            max_wall: Duration::from_millis(10_000),
+            max_steps: job::DEFAULT_MAX_STEPS,
+            max_wall: job::DEFAULT_MAX_WALL,
             out_dir: "fleet-out".to_string(),
             serve: None,
             pace_ms: 0,
@@ -359,217 +349,6 @@ fn doc_size(o: &Opts, di: usize) -> usize {
     } else {
         o.size
     }
-}
-
-/// The document a query runs over.
-enum Doc {
-    Word(Vec<Symbol>),
-    Tree(Tree),
-}
-
-impl Doc {
-    fn len(&self) -> usize {
-        match self {
-            Doc::Word(w) => w.len(),
-            Doc::Tree(t) => t.num_nodes(),
-        }
-    }
-
-    /// Document height: 0 for words (flat), tree height otherwise.
-    fn depth(&self) -> usize {
-        match self {
-            Doc::Word(_) => 0,
-            Doc::Tree(t) => t.height(),
-        }
-    }
-}
-
-/// One roster entry: a named example query plus its document generator.
-struct Workload {
-    name: &'static str,
-    query: QueryKind,
-}
-
-enum QueryKind {
-    String(Box<qa_twoway::StringQa>),
-    Ranked(Box<qa_core::ranked::RankedQa>),
-    Unranked(Box<qa_core::unranked::UnrankedQa>),
-}
-
-fn binary_alphabet() -> Alphabet {
-    Alphabet::from_names(["0", "1"])
-}
-
-fn circuit_alphabet() -> Alphabet {
-    Alphabet::from_names(["AND", "OR", "0", "1"])
-}
-
-fn roster() -> Vec<Workload> {
-    let bin = binary_alphabet();
-    let circ = circuit_alphabet();
-    vec![
-        Workload {
-            name: "example-3-4",
-            query: QueryKind::String(Box::new(example_3_4_qa(&bin))),
-        },
-        Workload {
-            name: "example-4-4",
-            query: QueryKind::Ranked(Box::new(example_4_4(&circ))),
-        },
-        Workload {
-            name: "example-5-9",
-            query: QueryKind::Unranked(Box::new(example_5_9(&circ))),
-        },
-        Workload {
-            name: "example-5-14",
-            query: QueryKind::Unranked(Box::new(example_5_14(&bin))),
-        },
-    ]
-}
-
-/// Deterministic document for `(workload, seed)`.
-fn generate_doc(name: &str, size: usize, seed: u64) -> Doc {
-    let mut rng = StdRng::seed_from_u64(seed);
-    match name {
-        "example-3-4" => Doc::Word(
-            (0..size)
-                .map(|_| Symbol::from_index(rng.gen_range(0..2)))
-                .collect(),
-        ),
-        "example-4-4" => {
-            let a = circuit_alphabet();
-            Doc::Tree(qa_trees::generate::random_full_binary(
-                &mut rng,
-                &[a.symbol("AND"), a.symbol("OR")],
-                &[a.symbol("0"), a.symbol("1")],
-                size / 2,
-            ))
-        }
-        "example-5-9" => {
-            // Variadic circuit: grow a random shape, then relabel inner
-            // nodes AND/OR and leaves 0/1 so every node evaluates.
-            let a = circuit_alphabet();
-            let mut t = qa_trees::generate::random(&mut rng, &[a.symbol("0")], size, None);
-            for v in t.nodes().collect::<Vec<_>>() {
-                let label = if t.is_leaf(v) {
-                    if rng.gen_bool(0.5) {
-                        a.symbol("0")
-                    } else {
-                        a.symbol("1")
-                    }
-                } else if rng.gen_bool(0.5) {
-                    a.symbol("AND")
-                } else {
-                    a.symbol("OR")
-                };
-                t.set_label(v, label);
-            }
-            Doc::Tree(t)
-        }
-        "example-5-14" => Doc::Tree(qa_trees::generate::random(
-            &mut rng,
-            &[Symbol::from_index(0), Symbol::from_index(1)],
-            size,
-            None,
-        )),
-        other => unreachable!("unknown workload {other}"),
-    }
-}
-
-/// Run one job under the `opts` budget, filling the measured fields of its
-/// wide `event` (counters, selection, outcome, latency). Returns the
-/// flight-recorder dump when the run failed, the full trace when
-/// `traced`, and the run's span profile and, with `--scope`, its scope
-/// profile.
-fn run_one(
-    opts: &Opts,
-    wl: &Workload,
-    doc: &Doc,
-    traced: bool,
-    fleet: &Metrics,
-    live: Option<&SharedFlight>,
-    event: &mut JobEvent,
-) -> (
-    Option<String>,
-    Option<RunTrace>,
-    SpanProfile,
-    Option<ScopeProfiler>,
-) {
-    let run_metrics = Metrics::new();
-    let trace_arm = if traced {
-        Sampled::Full(RunTrace::new())
-    } else {
-        Sampled::Light(NoopObserver)
-    };
-    // With --serve, events additionally feed the shared /flight ring so a
-    // mid-run scrape shows the current event tail. Metrics stay per-run
-    // and are merged into the fleet registry at run end — run-granularity
-    // freshness for /metrics, at zero per-event cost.
-    let live_arm = match live {
-        Some(shared) => Sampled::Full(shared.clone()),
-        None => Sampled::Light(NoopObserver),
-    };
-    // The per-state profiler is per-run (single-threaded, deterministic);
-    // merging at run end keeps scope.json independent of job interleaving.
-    let scope_arm = if opts.scope {
-        Sampled::Full(ScopeProfiler::new())
-    } else {
-        Sampled::Light(NoopObserver)
-    };
-    let mut obs = Watchdog::new(
-        Tee(
-            FlightRecorder::with_capacity(256),
-            Tee(
-                run_metrics.observer(),
-                Tee(
-                    trace_arm,
-                    Tee(SpanProfiler::new(), Tee(scope_arm, live_arm)),
-                ),
-            ),
-        ),
-        Budget::steps(opts.max_steps).with_wall(opts.max_wall),
-    );
-
-    let t0 = Instant::now();
-    let result = match (&wl.query, doc) {
-        (QueryKind::String(q), Doc::Word(w)) => q.query_with(w, &mut obs).map(|sel| sel.len()),
-        (QueryKind::Ranked(q), Doc::Tree(t)) => q.query_with(t, &mut obs).map(|sel| sel.len()),
-        (QueryKind::Unranked(q), Doc::Tree(t)) => q.query_with(t, &mut obs).map(|sel| sel.len()),
-        _ => unreachable!("workload/document kind mismatch"),
-    };
-    event.wall_ns = t0.elapsed().as_nanos() as u64;
-
-    let Tee(recorder, Tee(_, Tee(trace_arm, Tee(profiler, Tee(scope_arm, _))))) = obs.into_inner();
-    let dump = match result {
-        Ok(n) => {
-            event.selected = n;
-            event.outcome = "ok".to_string();
-            None
-        }
-        Err(e) => {
-            event.outcome = e.to_string();
-            Some(format!(
-                "workload: {}\nerror: {e}\n\n{}",
-                wl.name,
-                recorder.dump()
-            ))
-        }
-    };
-    // Every completed run is one job — the denominator burn-rate SLOs
-    // divide error counters by.
-    run_metrics.count(Counter::Jobs, 1);
-    event.steps = run_metrics.get(Counter::Steps);
-    event.reversals = run_metrics.get(Counter::HeadReversals);
-    event.cache_hits = run_metrics.get(Counter::CacheHits);
-    event.cache_misses = run_metrics.get(Counter::CacheMisses);
-    event.budget_trips = run_metrics.get(Counter::BudgetTrips);
-    fleet.merge(&run_metrics);
-    (
-        dump,
-        trace_arm.full(),
-        profiler.into_profile(),
-        scope_arm.full(),
-    )
 }
 
 /// Render the fleet summary from the job-ordered events. With
@@ -1162,7 +941,7 @@ fn main() -> ExitCode {
         return run_coordinator(&opts, slo_rules);
     }
 
-    let roster = roster();
+    let roster = job::roster();
     let fleet = Arc::new(Metrics::new());
     // One run id across every mode (see default_run_id): it seeds the
     // deterministic trace/span ids stamped into every wide event.
@@ -1295,6 +1074,7 @@ fn main() -> ExitCode {
     }
     let traced = reservoir.into_items();
     let shard_mode = opts.shard.is_some();
+    let budget = Budget::steps(opts.max_steps).with_wall(opts.max_wall);
     // Volatile event fields: placement facts stamped on every wide event.
     // In-process fleets are "local" worker, shard "0/1".
     let (ev_worker, ev_shard) = match &worker_identity {
@@ -1343,13 +1123,11 @@ fn main() -> ExitCode {
             println!("fleet: job {global} start");
         }
         let wl = &roster[qi % roster.len()];
-        // Per-run seed: distinct per (query index, doc index), stable
-        // across invocations with the same --seed.
-        let doc_seed = opts
-            .seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add((qi as u64) << 32 | di as u64);
-        let doc = generate_doc(wl.name, doc_size(&opts, di), doc_seed);
+        let doc = job::generate_doc(
+            wl.name,
+            doc_size(&opts, di),
+            job::doc_seed(opts.seed, qi, di),
+        );
         // The wide event: identity fields derive only from (run_id, job,
         // corpus, counters), so they match byte for byte across --jobs N
         // and --mesh N; placement and wall-clock ride in the volatile tail.
@@ -1370,17 +1148,19 @@ fn main() -> ExitCode {
             start_ns: fleet_t0.elapsed().as_nanos() as u64,
             ..JobEvent::default()
         };
-        let (dump, trace, profile, scope_profile) = run_one(
-            &opts,
-            wl,
-            &doc,
-            traced.contains(&global),
-            &fleet,
-            shared_flight.as_ref(),
-            &mut event,
-        );
-        state.merge_profile(&profile);
-        if let Some(sp) = scope_profile {
+        // With --serve, events additionally feed the shared /flight ring so
+        // a mid-run scrape shows the current event tail. The per-state
+        // profiler is per-run (single-threaded, deterministic); merging at
+        // run end keeps scope.json independent of job interleaving.
+        let arms = Arms {
+            trace: traced.contains(&global),
+            scope: opts.scope,
+            live: shared_flight.as_ref(),
+        };
+        let (done, recorded) = arms.run(wl, &doc, budget, &fleet);
+        done.record(&mut event);
+        state.merge_profile(&done.profile);
+        if let Some(sp) = recorded.scope {
             scopes
                 .lock()
                 .expect("scope lock")
@@ -1388,11 +1168,11 @@ fn main() -> ExitCode {
                 .or_default()
                 .merge(&sp);
         }
-        if let Some(trace) = trace {
+        if let Some(trace) = recorded.trace {
             traces.lock().expect("traces lock").insert(global, trace);
         }
         events_ring.push(event);
-        if let Some(dump) = dump {
+        if let Some(dump) = done.postmortem(wl.name) {
             // A budget trip mid-batch must not strand the fleet without
             // telemetry: flush what finished so far (overwritten with the
             // complete exports on normal exit).

@@ -22,14 +22,21 @@
 //! - [`SharedEvents`] — the bounded ring of wide [`JobEvent`]s (one per
 //!   job, defined in [`qa_obs::event`] and re-exported here) that the
 //!   pulse `/events` endpoint serves from.
+//! - [`job`] — one `qa-fleet` job: a roster query over a generated
+//!   document under the per-job stack (watchdog, flight recorder, a plain
+//!   [`qa_obs::Tally`] folded into the fleet registry once, span profiler),
+//!   with the optional trace, scope and live arms decided once per job
+//!   ([`job::Arms`]), so a job that records none of them pays nothing per
+//!   event for them.
 //! - `qa-fleet` — the batch runner binary: M queries × K generated
-//!   documents under watchdogs, merged metrics, latency/step percentiles,
+//!   documents, each one [`job::run`], with latency/step percentiles,
 //!   Prometheus and Perfetto exports, post-mortem dumps on failure.
 //!
 //! The crate adds nothing to unobserved runs: engines still monomorphize
 //! [`qa_obs::NoopObserver`] hooks (checkpoints included) to nothing.
 
 pub mod event;
+pub mod job;
 pub mod recorder;
 pub mod sampler;
 pub mod watchdog;
