@@ -161,6 +161,57 @@ fn parallel_jobs_match_sequential_byte_for_byte() {
     );
 }
 
+/// [`without_heap_gauges`], also dropping the `qa_build_info{…}` sample,
+/// whose `rustc` label names the toolchain that built the binary.
+fn pinned_prom(prom: &str) -> String {
+    without_heap_gauges(prom)
+        .lines()
+        .filter(|l| !l.starts_with("qa_build_info{"))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+#[test]
+fn fleet_artifacts_match_the_golden_files() {
+    // The paper's machines over a seeded corpus: the summary table, the
+    // Prometheus registry and every job's deterministic event fields are
+    // pinned byte for byte, so an engine rewrite that changes a step
+    // count, a selection or a histogram bucket fails here.
+    let dir = tmp("fleet-golden");
+    let out = qa_fleet(&[
+        "--queries",
+        "4",
+        "--docs",
+        "8",
+        "--size",
+        "48",
+        "--seed",
+        "7",
+        "--jobs",
+        "2",
+        "--out-dir",
+        &dir,
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let read = |f: &str| std::fs::read_to_string(PathBuf::from(&dir).join(f)).unwrap();
+    assert_eq!(
+        read("summary.txt"),
+        include_str!("golden/q4-d8-z48-s7/summary.txt")
+    );
+    assert_eq!(
+        pinned_prom(&read("metrics.prom")),
+        include_str!("golden/q4-d8-z48-s7/metrics.prom")
+    );
+    assert_eq!(
+        qa_obs::identity_projection(&read("events.jsonl")).unwrap(),
+        include_str!("golden/q4-d8-z48-s7/events.identity.jsonl")
+    );
+}
+
 #[test]
 fn failed_run_flushes_partial_telemetry_mid_batch() {
     // When a worker's budget trips, summary.txt/metrics.prom must already
