@@ -4,6 +4,7 @@ use qa_base::{Result, Symbol};
 use qa_obs::{Counter, NoopObserver, Observer};
 use qa_strings::StateId;
 use qa_trees::{NodeId, Tree};
+use qa_twoway::AssumedSets;
 
 use super::twoway::{build_circuit_machine, TwoWayRanked};
 
@@ -16,25 +17,26 @@ use super::twoway::{build_circuit_machine, TwoWayRanked};
 #[derive(Clone, Debug)]
 pub struct RankedQa {
     machine: TwoWayRanked,
-    /// `select[state][symbol]`.
-    select: Vec<Vec<bool>>,
+    /// `select[state · |Σ| + symbol]`.
+    select: Vec<bool>,
 }
 
 impl RankedQa {
     /// Wrap a machine with an all-`⊥` selection function.
     pub fn new(machine: TwoWayRanked) -> Self {
-        let select = vec![vec![false; machine.alphabet_len()]; machine.num_states()];
+        let select = vec![false; machine.num_states() * machine.alphabet_len()];
         RankedQa { machine, select }
     }
 
     /// Mark `λ(state, sym) = 1`.
     pub fn set_selecting(&mut self, state: StateId, sym: Symbol, selecting: bool) {
-        self.select[state.index()][sym.index()] = selecting;
+        let slot = state.index() * self.machine.alphabet_len() + sym.index();
+        self.select[slot] = selecting;
     }
 
     /// Whether `λ(state, sym) = 1`.
     pub fn is_selecting(&self, state: StateId, sym: Symbol) -> bool {
-        self.select[state.index()][sym.index()]
+        self.select[state.index() * self.machine.alphabet_len() + sym.index()]
     }
 
     /// The underlying two-way automaton.
@@ -51,41 +53,74 @@ impl RankedQa {
     /// selection scan are reported to `obs`. With [`NoopObserver`] this
     /// monomorphizes to exactly `query`.
     pub fn query_with<O: Observer>(&self, tree: &Tree, obs: &mut O) -> Result<Vec<NodeId>> {
+        let mut first =
+            FirstSelecting::new(&self.select, self.machine.alphabet_len(), tree.num_nodes());
         obs.phase_start("run");
-        let rec = self.machine.run_with(tree, obs);
+        let rec = self
+            .machine
+            .run_noting(tree, obs, |v, q| first.note(v.index(), tree.label(v), q));
         obs.phase_end("run");
         let rec = rec?;
         if !rec.accepted {
             return Ok(Vec::new());
         }
-        obs.phase_start("selection scan");
-        let out = tree
-            .nodes()
-            .filter(|&v| {
-                let label = tree.label(v);
-                obs.count(
-                    Counter::SelectionChecks,
-                    rec.assumed[v.index()].len() as u64,
-                );
-                match rec.assumed[v.index()]
-                    .iter()
-                    .find(|&&q| self.is_selecting(q, label))
-                {
-                    Some(&q) => {
-                        obs.selected(v.index() as u32, q.index() as u32, label.index() as u32);
-                        true
-                    }
-                    None => false,
-                }
-            })
-            .collect();
-        obs.phase_end("selection scan");
-        Ok(out)
+        Ok(first.scan(tree, &rec.assumed, obs))
     }
 
     /// Whether the underlying machine accepts `tree`.
     pub fn accepts(&self, tree: &Tree) -> Result<bool> {
         self.machine.accepts(tree)
+    }
+}
+
+/// The first selecting state each node assumes: the one the selection
+/// scans of [`RankedQa`] and [`crate::unranked::UnrankedQa`] report. `select` is a
+/// `[state · |Σ| + label]` table of `λ`; a run notes every state a node
+/// assumes for the first time through [`FirstSelecting::note`].
+pub(crate) struct FirstSelecting<'a> {
+    select: &'a [bool],
+    alphabet_len: usize,
+    first: Vec<Option<StateId>>,
+}
+
+impl<'a> FirstSelecting<'a> {
+    pub(crate) fn new(select: &'a [bool], alphabet_len: usize, nodes: usize) -> Self {
+        FirstSelecting {
+            select,
+            alphabet_len,
+            first: vec![None; nodes],
+        }
+    }
+
+    /// `v`, labelled `label`, has just assumed `q` for the first time.
+    #[inline]
+    pub(crate) fn note(&mut self, v: usize, label: Symbol, q: StateId) {
+        if self.first[v].is_none() && self.select[q.index() * self.alphabet_len + label.index()] {
+            self.first[v] = Some(q);
+        }
+    }
+
+    /// The selection scan of Definitions 4.3 and 5.8: every node of an
+    /// accepting run that assumed a selecting state, in document order,
+    /// reporting each node's assumed-set size and first selecting state.
+    pub(crate) fn scan<O: Observer>(
+        self,
+        tree: &Tree,
+        assumed: &AssumedSets,
+        obs: &mut O,
+    ) -> Vec<NodeId> {
+        obs.phase_start("selection scan");
+        let mut out = Vec::new();
+        for v in tree.nodes() {
+            obs.count(Counter::SelectionChecks, assumed.count(v.index()) as u64);
+            if let Some(q) = self.first[v.index()] {
+                let label = tree.label(v);
+                obs.selected(v.index() as u32, q.index() as u32, label.index() as u32);
+                out.push(v);
+            }
+        }
+        obs.phase_end("selection scan");
+        out
     }
 }
 

@@ -7,6 +7,7 @@ use qa_base::{Error, Result, Symbol};
 use qa_obs::{Counter, Machine, NoopObserver, Observer, Series};
 use qa_strings::StateId;
 use qa_trees::{NodeId, Tree};
+use qa_twoway::AssumedSets;
 
 /// Whether a `(state, label)` pair takes part in up or down transitions.
 ///
@@ -22,10 +23,10 @@ pub enum Polarity {
     Down,
 }
 
-/// The transitions of one `(state, label)` pair: one slot of the
-/// `[state][label]` rows that both two-way machines keep, grown a row per
-/// `add_state`. `down` is the ranked machine's defined `δ↓` tuples (one per
-/// arity) or the unranked machine's `L↓`.
+/// The transitions of one `(state, label)` pair: one slot of the flat
+/// `[state · |Σ| + label]` table that both two-way machines keep, grown by
+/// `|Σ|` slots per `add_state`. `down` is the ranked machine's defined `δ↓`
+/// tuples (one per arity) or the unranked machine's `L↓`.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Cell<D> {
     /// `None`: the pair is in neither `U` nor `D`.
@@ -35,12 +36,15 @@ pub(crate) struct Cell<D> {
     pub(crate) down: D,
 }
 
-/// Every slot of `[state][label]` rows with its pair, state-major.
-pub(crate) fn pairs<T>(rows: &[Vec<T>]) -> impl Iterator<Item = (StateId, Symbol, &T)> {
-    rows.iter().enumerate().flat_map(|(q, row)| {
-        row.iter()
-            .enumerate()
-            .map(move |(s, t)| (StateId::from_index(q), Symbol::from_index(s), t))
+/// Every slot of a `[state · |Σ| + label]` table with its pair,
+/// state-major.
+pub(crate) fn pairs<T>(
+    table: &[T],
+    alphabet_len: usize,
+) -> impl Iterator<Item = (StateId, Symbol, &T)> {
+    table.iter().enumerate().map(move |(i, t)| {
+        let (q, s) = (i / alphabet_len, i % alphabet_len);
+        (StateId::from_index(q), Symbol::from_index(s), t)
     })
 }
 
@@ -65,9 +69,9 @@ pub struct TwoWayRanked {
     max_rank: usize,
     initial: StateId,
     finals: Vec<bool>,
-    /// `cells[state][symbol]`; `down` lists the defined `δ↓` tuples, whose
-    /// lengths are their arities.
-    cells: Vec<Vec<Cell<Vec<Vec<StateId>>>>>,
+    /// `cells[state · |Σ| + symbol]`; `down` lists the defined `δ↓`
+    /// tuples, whose lengths are their arities.
+    cells: Vec<Cell<Vec<Vec<StateId>>>>,
     /// Keyed by the children's pairs: `decision/tiling.rs` folds a fan of
     /// `|T|` children, which a dense tuple table would need
     /// `(|Q|·|Σ|)^|T|` slots for.
@@ -101,14 +105,14 @@ impl TwoWayRankedBuilder {
         let id = StateId::from_index(self.inner.num_states);
         self.inner.num_states += 1;
         self.inner.finals.push(false);
-        self.inner
-            .cells
-            .push(vec![Cell::default(); self.inner.alphabet_len]);
+        let len = self.inner.cells.len() + self.inner.alphabet_len;
+        self.inner.cells.resize(len, Cell::default());
         id
     }
 
     fn cell(&mut self, state: StateId, label: Symbol) -> &mut Cell<Vec<Vec<StateId>>> {
-        &mut self.inner.cells[state.index()][label.index()]
+        let slot = state.index() * self.inner.alphabet_len + label.index();
+        &mut self.inner.cells[slot]
     }
 
     /// Set the initial state.
@@ -131,7 +135,8 @@ impl TwoWayRankedBuilder {
 
     /// Put `(state, ·)` into `U` or `D` for every label.
     pub fn set_polarity_all(&mut self, state: StateId, p: Polarity) -> &mut Self {
-        for cell in &mut self.inner.cells[state.index()] {
+        let sigma = self.inner.alphabet_len;
+        for cell in &mut self.inner.cells[state.index() * sigma..][..sigma] {
             cell.polarity = Some(p);
         }
         self
@@ -176,7 +181,7 @@ impl TwoWayRankedBuilder {
         if m.num_states == 0 {
             return Err(Error::ill_formed("2DTAr", "no states"));
         }
-        for (q, s, c) in pairs(&m.cells) {
+        for (q, s, c) in pairs(&m.cells, m.alphabet_len) {
             let (down, up) = (Some(Polarity::Down), Some(Polarity::Up));
             let misplaced = if c.leaf.is_some() && c.polarity != down {
                 "δ_leaf defined on non-D pair"
@@ -212,7 +217,7 @@ impl TwoWayRankedBuilder {
                 }
             }
         }
-        for v in m.cells.iter().flatten().flat_map(|c| &c.down) {
+        for v in m.cells.iter().flat_map(|c| &c.down) {
             let n = v.len();
             if n == 0 || n > m.max_rank {
                 return Err(Error::ill_formed(
@@ -225,15 +230,18 @@ impl TwoWayRankedBuilder {
     }
 }
 
-/// Record of a maximal run.
+/// Record of a maximal run: its verdict, the `Assumed` set of every node
+/// and the work it took. The configurations themselves are not kept; an
+/// observer such as [`qa_obs::RunTrace`] receives each one as the run
+/// makes it.
 #[derive(Clone, Debug)]
 pub struct RankedRunRecord {
     /// Whether the final configuration was accepting (cut = {root}, final
     /// state).
     pub accepted: bool,
-    /// For each node, the states it assumed across the run (first-assumption
-    /// order) — `Assumed^A(t, v)` of Section 4.2.
-    pub assumed: Vec<Vec<StateId>>,
+    /// For each node (by index), the states it assumed across the run —
+    /// `Assumed^A(t, v)` of Section 4.2.
+    pub assumed: AssumedSets,
     /// Work performed: [`TwoWayRanked::run_scheduled`] counts transitions
     /// fired; the worklist [`TwoWayRanked::run`] counts node examinations
     /// (an upper bound on transitions). Both are capped by the fuel budget.
@@ -266,14 +274,21 @@ impl TwoWayRanked {
         self.finals[state.index()]
     }
 
+    #[inline]
+    fn cell(&self, state: StateId, label: Symbol) -> &Cell<Vec<Vec<StateId>>> {
+        &self.cells[state.index() * self.alphabet_len + label.index()]
+    }
+
     /// The polarity of `(state, label)`.
+    #[inline]
     pub fn polarity(&self, state: StateId, label: Symbol) -> Option<Polarity> {
-        self.cells[state.index()][label.index()].polarity
+        self.cell(state, label).polarity
     }
 
     /// `δ↓(state, label, arity)`.
+    #[inline]
     pub fn down(&self, state: StateId, label: Symbol, arity: usize) -> Option<&[StateId]> {
-        self.cells[state.index()][label.index()]
+        self.cell(state, label)
             .down
             .iter()
             .find(|v| v.len() == arity)
@@ -281,13 +296,15 @@ impl TwoWayRanked {
     }
 
     /// `δ_leaf(state, label)`.
+    #[inline]
     pub fn leaf(&self, state: StateId, label: Symbol) -> Option<StateId> {
-        self.cells[state.index()][label.index()].leaf
+        self.cell(state, label).leaf
     }
 
     /// `δ_root(state, label)`.
+    #[inline]
     pub fn root(&self, state: StateId, label: Symbol) -> Option<StateId> {
-        self.cells[state.index()][label.index()].root
+        self.cell(state, label).root
     }
 
     /// `δ↑(children pairs)`.
@@ -320,6 +337,18 @@ impl TwoWayRanked {
     /// replayable trace. With [`NoopObserver`] this monomorphizes to
     /// exactly `run`.
     pub fn run_with<O: Observer>(&self, tree: &Tree, obs: &mut O) -> Result<RankedRunRecord> {
+        self.run_noting(tree, obs, |_, _| {})
+    }
+
+    /// [`TwoWayRanked::run_with`] that calls `note(v, q)` the first time
+    /// node `v` assumes state `q`, so in the order in which each node's
+    /// states are first assumed.
+    pub(crate) fn run_noting<O: Observer>(
+        &self,
+        tree: &Tree,
+        obs: &mut O,
+        mut note: impl FnMut(NodeId, StateId),
+    ) -> Result<RankedRunRecord> {
         if tree.rank() > self.max_rank {
             return Err(Error::domain(format!(
                 "tree rank {} exceeds automaton rank {}",
@@ -330,19 +359,19 @@ impl TwoWayRanked {
         let fuel = self.default_fuel(tree);
         let n = tree.num_nodes();
         let mut state: Vec<Option<StateId>> = vec![None; n];
-        let mut assumed: Vec<Vec<StateId>> = vec![Vec::new(); n];
+        let mut assumed = AssumedSets::new(n, self.num_states);
         let root = tree.root();
         state[root.index()] = Some(self.initial);
-        assumed[root.index()].push(self.initial);
-        obs.config(self.initial.index() as u32, root.index() as u32, 0);
-        let mut steps = 0u64;
-
-        let assume = |assumed: &mut Vec<Vec<StateId>>, v: NodeId, q: StateId| {
-            let list = &mut assumed[v.index()];
-            if !list.contains(&q) {
-                list.push(q);
+        let mut assume = |assumed: &mut AssumedSets, v: NodeId, q: StateId| {
+            if assumed.insert(v.index(), q) {
+                note(v, q);
             }
         };
+        assume(&mut assumed, root, self.initial);
+        obs.config(self.initial.index() as u32, root.index() as u32, 0);
+        let mut steps = 0u64;
+        // the children's (state, label) pairs of an up attempt
+        let mut pairs: Vec<(StateId, Symbol)> = Vec::with_capacity(self.max_rank);
 
         let mut queue: std::collections::VecDeque<NodeId> = tree.nodes().collect();
         let mut queued = vec![true; n];
@@ -392,9 +421,8 @@ impl TwoWayRanked {
                         Some(Polarity::Down) => {
                             if let Some(down) = self.down(q, label, tree.arity(v)) {
                                 obs.count(Counter::Steps, 1);
-                                let kids_states = down.to_vec();
                                 state[v.index()] = None;
-                                for (&c, q2) in tree.children(v).iter().zip(kids_states) {
+                                for (&c, &q2) in tree.children(v).iter().zip(down) {
                                     obs.transition_fired(
                                         Machine::Qar,
                                         q.index() as u32,
@@ -432,7 +460,7 @@ impl TwoWayRanked {
                 }
                 // up transition at v (children all in cut holding U pairs)
                 if !tree.is_leaf(v) && state[v.index()].is_none() {
-                    let mut pairs = Vec::with_capacity(tree.arity(v));
+                    pairs.clear();
                     let mut ok = true;
                     for &c in tree.children(v) {
                         match state[c.index()] {
@@ -504,10 +532,10 @@ impl TwoWayRanked {
         let n = tree.num_nodes();
         // cut membership + state per node
         let mut state: Vec<Option<StateId>> = vec![None; n];
-        let mut assumed: Vec<Vec<StateId>> = vec![Vec::new(); n];
+        let mut assumed = AssumedSets::new(n, self.num_states);
         let root = tree.root();
         state[root.index()] = Some(self.initial);
-        assumed[root.index()].push(self.initial);
+        assumed.insert(root.index(), self.initial);
         let mut steps = 0u64;
 
         #[derive(Clone, Copy, Debug)]
@@ -517,13 +545,6 @@ impl TwoWayRanked {
             Up(NodeId),
             Root,
         }
-
-        let assume = |assumed: &mut Vec<Vec<StateId>>, v: NodeId, q: StateId| {
-            let list = &mut assumed[v.index()];
-            if !list.contains(&q) {
-                list.push(q);
-            }
-        };
 
         loop {
             // Collect enabled moves.
@@ -593,13 +614,13 @@ impl TwoWayRanked {
                     let q = state[v.index()].expect("enabled");
                     let q2 = self.leaf(q, tree.label(v)).expect("enabled");
                     state[v.index()] = Some(q2);
-                    assume(&mut assumed, v, q2);
+                    assumed.insert(v.index(), q2);
                 }
                 Move::Root => {
                     let q = state[root.index()].expect("enabled");
                     let q2 = self.root(q, tree.label(root)).expect("enabled");
                     state[root.index()] = Some(q2);
-                    assume(&mut assumed, root, q2);
+                    assumed.insert(root.index(), q2);
                 }
                 Move::Down(v) => {
                     let q = state[v.index()].expect("enabled");
@@ -610,7 +631,7 @@ impl TwoWayRanked {
                     state[v.index()] = None;
                     for (&c, q2) in tree.children(v).iter().zip(kids_states) {
                         state[c.index()] = Some(q2);
-                        assume(&mut assumed, c, q2);
+                        assumed.insert(c.index(), q2);
                     }
                 }
                 Move::Up(v) => {
@@ -624,7 +645,7 @@ impl TwoWayRanked {
                         state[c.index()] = None;
                     }
                     state[v.index()] = Some(q2);
-                    assume(&mut assumed, v, q2);
+                    assumed.insert(v.index(), q2);
                 }
             }
         }
@@ -820,15 +841,17 @@ mod tests {
         let t = from_sexpr("(AND 1 0)", &mut a).unwrap();
         let rec = m.run(&t).unwrap();
         // root assumed: s, then pair(1,0) = index 2+2*1+0 = 4, then v0 = 6
-        let root_states: Vec<usize> = rec.assumed[t.root().index()]
-            .iter()
+        let root_states: Vec<usize> = rec
+            .assumed
+            .states(t.root().index())
             .map(|q| q.index())
             .collect();
         assert_eq!(root_states, vec![0, 4, 6]);
         // each leaf assumed s then u
         for &leaf in t.children(t.root()) {
-            let states: Vec<usize> = rec.assumed[leaf.index()]
-                .iter()
+            let states: Vec<usize> = rec
+                .assumed
+                .states(leaf.index())
                 .map(|q| q.index())
                 .collect();
             assert_eq!(states, vec![0, 1]);

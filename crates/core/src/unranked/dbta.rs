@@ -5,8 +5,6 @@ use qa_obs::{Counter, Machine, NoopObserver, Observer, Series};
 use qa_strings::{Dfa, Nfa, StateId};
 use qa_trees::Tree;
 
-use crate::ranked::twoway::pairs;
-
 /// A nondeterministic bottom-up unranked tree automaton `(Q, Σ, F, δ)`:
 /// each transition `δ(q, a)` is a *regular language* over `Q`, represented
 /// by an [`Nfa`] whose alphabet is the automaton's own state set.
@@ -102,7 +100,11 @@ impl Nbtau {
     /// witness shapes are reproducible across runs (the bench_obs
     /// regression gate depends on this).
     pub fn languages(&self) -> impl Iterator<Item = (StateId, Symbol, &Nfa)> + '_ {
-        pairs(&self.delta).filter_map(|(q, a, nfa)| Some((q, a, nfa.as_ref()?)))
+        self.delta.iter().enumerate().flat_map(|(q, row)| {
+            row.iter().enumerate().filter_map(move |(a, nfa)| {
+                Some((StateId::from_index(q), Symbol::from_index(a), nfa.as_ref()?))
+            })
+        })
     }
 
     /// `δ*(t)` at every node: `table[v]` is the sorted set of states

@@ -2,12 +2,13 @@
 //! Examples 5.9 and 5.14.
 
 use qa_base::{Result, Symbol};
-use qa_obs::{Counter, NoopObserver, Observer};
+use qa_obs::{NoopObserver, Observer};
 use qa_strings::{Dfa, SlenderLang, StateId};
 use qa_trees::{NodeId, Tree};
 
 use super::stay::{pair_alphabet_len, pair_symbol, StayRule};
 use super::twoway::{StayBlock, TwoWayUnranked, TwoWayUnrankedBuilder};
+use crate::ranked::query::FirstSelecting;
 use crate::ranked::twoway::Polarity;
 
 /// A query automaton over unranked trees: a two-way machine plus a
@@ -20,8 +21,8 @@ use crate::ranked::twoway::Polarity;
 #[derive(Clone, Debug)]
 pub struct UnrankedQa {
     machine: TwoWayUnranked,
-    /// `select[state][symbol]`.
-    select: Vec<Vec<bool>>,
+    /// `select[state · |Σ| + symbol]`.
+    select: Vec<bool>,
 }
 
 /// A strong query automaton is an [`UnrankedQa`] whose machine carries a
@@ -31,18 +32,19 @@ pub type StrongQa = UnrankedQa;
 impl UnrankedQa {
     /// Wrap a machine with an all-`⊥` selection function.
     pub fn new(machine: TwoWayUnranked) -> Self {
-        let select = vec![vec![false; machine.alphabet_len()]; machine.num_states()];
+        let select = vec![false; machine.num_states() * machine.alphabet_len()];
         UnrankedQa { machine, select }
     }
 
     /// Mark `λ(state, sym) = 1`.
     pub fn set_selecting(&mut self, state: StateId, sym: Symbol, selecting: bool) {
-        self.select[state.index()][sym.index()] = selecting;
+        let slot = state.index() * self.machine.alphabet_len() + sym.index();
+        self.select[slot] = selecting;
     }
 
     /// Whether `λ(state, sym) = 1`.
     pub fn is_selecting(&self, state: StateId, sym: Symbol) -> bool {
-        self.select[state.index()][sym.index()]
+        self.select[state.index() * self.machine.alphabet_len() + sym.index()]
     }
 
     /// The underlying two-way machine.
@@ -64,10 +66,7 @@ impl UnrankedQa {
     /// the selection scan are reported to `obs`. With [`NoopObserver`] this
     /// monomorphizes to exactly `query`.
     pub fn query_with<O: Observer>(&self, tree: &Tree, obs: &mut O) -> Result<Vec<NodeId>> {
-        obs.phase_start("run");
-        let rec = self.machine.run_with(tree, obs);
-        obs.phase_end("run");
-        self.select_from_record(tree, rec?, obs)
+        self.query_impl(tree, None, obs)
     }
 
     /// [`UnrankedQa::query`] with up/stay decisions memoized in `cache`
@@ -82,45 +81,30 @@ impl UnrankedQa {
         cache: &mut super::UpCache,
         obs: &mut O,
     ) -> Result<Vec<NodeId>> {
-        obs.phase_start("run");
-        let rec = self.machine.run_cached(tree, cache, obs);
-        obs.phase_end("run");
-        self.select_from_record(tree, rec?, obs)
+        cache.ensure_machine(&self.machine);
+        self.query_impl(tree, Some(cache), obs)
     }
 
-    /// Shared selection scan over a finished run record.
-    fn select_from_record<O: Observer>(
+    /// The run, noting each node's first selecting state, then the
+    /// selection scan.
+    fn query_impl<O: Observer>(
         &self,
         tree: &Tree,
-        rec: super::UnrankedRunRecord,
+        cache: Option<&mut super::UpCache>,
         obs: &mut O,
     ) -> Result<Vec<NodeId>> {
+        let mut first =
+            FirstSelecting::new(&self.select, self.machine.alphabet_len(), tree.num_nodes());
+        obs.phase_start("run");
+        let rec = self.machine.run_impl(tree, cache, obs, |v, q| {
+            first.note(v.index(), tree.label(v), q)
+        });
+        obs.phase_end("run");
+        let rec = rec?;
         if !rec.accepted {
             return Ok(Vec::new());
         }
-        obs.phase_start("selection scan");
-        let out = tree
-            .nodes()
-            .filter(|&v| {
-                let label = tree.label(v);
-                obs.count(
-                    Counter::SelectionChecks,
-                    rec.assumed[v.index()].len() as u64,
-                );
-                match rec.assumed[v.index()]
-                    .iter()
-                    .find(|&&q| self.is_selecting(q, label))
-                {
-                    Some(&q) => {
-                        obs.selected(v.index() as u32, q.index() as u32, label.index() as u32);
-                        true
-                    }
-                    None => false,
-                }
-            })
-            .collect();
-        obs.phase_end("selection scan");
-        Ok(out)
+        Ok(first.scan(tree, &rec.assumed, obs))
     }
 
     /// Whether the underlying machine accepts `tree`.

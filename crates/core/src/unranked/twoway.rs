@@ -6,6 +6,7 @@ use qa_base::{Error, Result, Symbol};
 use qa_obs::{Counter, Machine, NoopObserver, Observer, Series};
 use qa_strings::{Dfa, SlenderLang, StateId};
 use qa_trees::{NodeId, Tree};
+use qa_twoway::AssumedSets;
 
 use super::cache::{UpCache, UpEntry};
 use super::stay::{pair_alphabet_len, pair_symbol, StayRule};
@@ -32,8 +33,8 @@ pub struct TwoWayUnranked {
     num_states: usize,
     initial: StateId,
     finals: Vec<bool>,
-    /// `cells[state][symbol]`, with `L↓` as `down`.
-    cells: Vec<Vec<Cell<Option<SlenderLang>>>>,
+    /// `cells[state · |Σ| + symbol]`, with `L↓` as `down`.
+    cells: Vec<Cell<Option<SlenderLang>>>,
     /// Total classifier over the pair alphabet.
     up_classifier: Option<Dfa>,
     /// `up_assign[classifier state]`: the assigned automaton state.
@@ -84,14 +85,14 @@ impl TwoWayUnrankedBuilder {
         let id = StateId::from_index(self.inner.num_states);
         self.inner.num_states += 1;
         self.inner.finals.push(false);
-        self.inner
-            .cells
-            .push(vec![Cell::default(); self.inner.alphabet_len]);
+        let len = self.inner.cells.len() + self.inner.alphabet_len;
+        self.inner.cells.resize(len, Cell::default());
         id
     }
 
     fn cell(&mut self, state: StateId, label: Symbol) -> &mut Cell<Option<SlenderLang>> {
-        &mut self.inner.cells[state.index()][label.index()]
+        let slot = state.index() * self.inner.alphabet_len + label.index();
+        &mut self.inner.cells[slot]
     }
 
     /// Set the initial state.
@@ -114,7 +115,8 @@ impl TwoWayUnrankedBuilder {
 
     /// Put `(state, ·)` into `U` or `D` for every label.
     pub fn set_polarity_all(&mut self, state: StateId, p: Polarity) -> &mut Self {
-        for cell in &mut self.inner.cells[state.index()] {
+        let sigma = self.inner.alphabet_len;
+        for cell in &mut self.inner.cells[state.index() * sigma..][..sigma] {
             cell.polarity = Some(p);
         }
         self
@@ -158,7 +160,7 @@ impl TwoWayUnrankedBuilder {
         if m.num_states == 0 {
             return Err(Error::ill_formed("2DTAu", "no states"));
         }
-        for (q, s, c) in pairs(&m.cells) {
+        for (q, s, c) in pairs(&m.cells, m.alphabet_len) {
             let (down, up) = (Some(Polarity::Down), Some(Polarity::Up));
             let misplaced = if c.leaf.is_some() && c.polarity != down {
                 "δ_leaf on non-D pair"
@@ -263,13 +265,17 @@ impl TwoWayUnrankedBuilder {
     }
 }
 
-/// Record of a maximal run of a [`TwoWayUnranked`] machine.
+/// Record of a maximal run of a [`TwoWayUnranked`] machine: its verdict,
+/// the `Assumed` set of every node, the work it took and the stay
+/// transitions fired at each node. The configurations themselves are not
+/// kept; an observer such as [`qa_obs::RunTrace`] receives each one as the
+/// run makes it.
 #[derive(Clone, Debug)]
 pub struct UnrankedRunRecord {
     /// Whether the final configuration was accepting.
     pub accepted: bool,
-    /// States assumed per node (first-assumption order).
-    pub assumed: Vec<Vec<StateId>>,
+    /// States assumed per node (by index).
+    pub assumed: AssumedSets,
     /// Work performed: [`TwoWayUnranked::run_scheduled`] counts transitions
     /// fired; the worklist [`TwoWayUnranked::run`] counts node examinations
     /// (an upper bound on transitions). Both are capped by the fuel budget.
@@ -299,24 +305,33 @@ impl TwoWayUnranked {
         self.finals[state.index()]
     }
 
+    #[inline]
+    fn cell(&self, state: StateId, label: Symbol) -> &Cell<Option<SlenderLang>> {
+        &self.cells[state.index() * self.alphabet_len + label.index()]
+    }
+
     /// The polarity of `(state, label)`.
+    #[inline]
     pub fn polarity(&self, state: StateId, label: Symbol) -> Option<Polarity> {
-        self.cells[state.index()][label.index()].polarity
+        self.cell(state, label).polarity
     }
 
     /// `L↓(state, label)`.
+    #[inline]
     pub fn down(&self, state: StateId, label: Symbol) -> Option<&SlenderLang> {
-        self.cells[state.index()][label.index()].down.as_ref()
+        self.cell(state, label).down.as_ref()
     }
 
     /// `δ_leaf(state, label)`.
+    #[inline]
     pub fn leaf(&self, state: StateId, label: Symbol) -> Option<StateId> {
-        self.cells[state.index()][label.index()].leaf
+        self.cell(state, label).leaf
     }
 
     /// `δ_root(state, label)`.
+    #[inline]
     pub fn root(&self, state: StateId, label: Symbol) -> Option<StateId> {
-        self.cells[state.index()][label.index()].root
+        self.cell(state, label).root
     }
 
     /// The stay block, if the machine is generalized.
@@ -419,7 +434,7 @@ impl TwoWayUnranked {
     /// certificate behind the assignment. With [`NoopObserver`] this
     /// monomorphizes to exactly `run`.
     pub fn run_with<O: Observer>(&self, tree: &Tree, obs: &mut O) -> Result<UnrankedRunRecord> {
-        self.run_impl(tree, None, obs)
+        self.run_impl(tree, None, obs, |_, _| {})
     }
 
     /// [`TwoWayUnranked::run_with`] with up/stay decisions memoized in
@@ -435,32 +450,37 @@ impl TwoWayUnranked {
         obs: &mut O,
     ) -> Result<UnrankedRunRecord> {
         cache.ensure_machine(self);
-        self.run_impl(tree, Some(cache), obs)
+        self.run_impl(tree, Some(cache), obs, |_, _| {})
     }
 
-    fn run_impl<O: Observer>(
+    /// The worklist run behind [`TwoWayUnranked::run_with`] and
+    /// [`TwoWayUnranked::run_cached`]. It calls `note(v, q)` the first time
+    /// node `v` assumes state `q`, so in the order in which each node's
+    /// states are first assumed.
+    pub(crate) fn run_impl<O: Observer>(
         &self,
         tree: &Tree,
         mut cache: Option<&mut UpCache>,
         obs: &mut O,
+        mut note: impl FnMut(NodeId, StateId),
     ) -> Result<UnrankedRunRecord> {
         let fuel = self.default_fuel(tree);
         let n = tree.num_nodes();
         let mut state: Vec<Option<StateId>> = vec![None; n];
-        let mut assumed: Vec<Vec<StateId>> = vec![Vec::new(); n];
+        let mut assumed = AssumedSets::new(n, self.num_states);
         let mut stays: Vec<u32> = vec![0; n];
         let root = tree.root();
         state[root.index()] = Some(self.initial);
-        assumed[root.index()].push(self.initial);
-        obs.config(self.initial.index() as u32, root.index() as u32, 0);
-        let mut steps = 0u64;
-
-        let assume = |assumed: &mut Vec<Vec<StateId>>, v: NodeId, q: StateId| {
-            let list = &mut assumed[v.index()];
-            if !list.contains(&q) {
-                list.push(q);
+        let mut assume = |assumed: &mut AssumedSets, v: NodeId, q: StateId| {
+            if assumed.insert(v.index(), q) {
+                note(v, q);
             }
         };
+        assume(&mut assumed, root, self.initial);
+        obs.config(self.initial.index() as u32, root.index() as u32, 0);
+        let mut steps = 0u64;
+        // the children's (state, label) pairs of an up or stay attempt
+        let mut pairs: Vec<(StateId, Symbol)> = Vec::new();
 
         // worklist of nodes to examine; in-queue flags prevent duplicates
         let mut queue: std::collections::VecDeque<NodeId> = tree.nodes().collect();
@@ -511,13 +531,13 @@ impl TwoWayUnranked {
                             }
                         }
                         Some(Polarity::Down) => {
-                            if let Some(word) = self
-                                .down(q, label)
-                                .and_then(|l| l.string_of_length(tree.arity(v)))
+                            let arity = tree.arity(v);
+                            if let Some(lang) = self.down(q, label).filter(|l| l.has_length(arity))
                             {
                                 obs.count(Counter::Steps, 1);
                                 state[v.index()] = None;
-                                for (&c, s) in tree.children(v).iter().zip(word) {
+                                for (i, &c) in tree.children(v).iter().enumerate() {
+                                    let s = lang.symbol_at(arity, i).expect("length present");
                                     let q2 = StateId::from_index(s.index());
                                     obs.transition_fired(
                                         Machine::Qau,
@@ -558,7 +578,7 @@ impl TwoWayUnranked {
                 }
                 // up/stay at v (children all in cut holding U pairs)
                 if !tree.is_leaf(v) && state[v.index()].is_none() {
-                    let mut pairs = Vec::with_capacity(tree.arity(v));
+                    pairs.clear();
                     let mut ok = true;
                     for &c in tree.children(v) {
                         match state[c.index()] {
@@ -697,11 +717,11 @@ impl TwoWayUnranked {
     ) -> Result<UnrankedRunRecord> {
         let n = tree.num_nodes();
         let mut state: Vec<Option<StateId>> = vec![None; n];
-        let mut assumed: Vec<Vec<StateId>> = vec![Vec::new(); n];
+        let mut assumed = AssumedSets::new(n, self.num_states);
         let mut stays: Vec<u32> = vec![0; n];
         let root = tree.root();
         state[root.index()] = Some(self.initial);
-        assumed[root.index()].push(self.initial);
+        assumed.insert(root.index(), self.initial);
         let mut steps = 0u64;
 
         #[derive(Clone, Copy)]
@@ -712,13 +732,6 @@ impl TwoWayUnranked {
             Stay(NodeId),
             Root,
         }
-
-        let assume = |assumed: &mut Vec<Vec<StateId>>, v: NodeId, q: StateId| {
-            let list = &mut assumed[v.index()];
-            if !list.contains(&q) {
-                list.push(q);
-            }
-        };
 
         loop {
             let mut enabled: Vec<Move> = Vec::new();
@@ -806,13 +819,13 @@ impl TwoWayUnranked {
                     let q = state[v.index()].expect("enabled");
                     let q2 = self.leaf(q, tree.label(v)).expect("enabled");
                     state[v.index()] = Some(q2);
-                    assume(&mut assumed, v, q2);
+                    assumed.insert(v.index(), q2);
                 }
                 Move::Root => {
                     let q = state[root.index()].expect("enabled");
                     let q2 = self.root(q, tree.label(root)).expect("enabled");
                     state[root.index()] = Some(q2);
-                    assume(&mut assumed, root, q2);
+                    assumed.insert(root.index(), q2);
                 }
                 Move::Down(v) => {
                     let q = state[v.index()].expect("enabled");
@@ -824,7 +837,7 @@ impl TwoWayUnranked {
                     for (&c, s) in tree.children(v).iter().zip(word) {
                         let q2 = StateId::from_index(s.index());
                         state[c.index()] = Some(q2);
-                        assume(&mut assumed, c, q2);
+                        assumed.insert(c.index(), q2);
                     }
                 }
                 Move::Up(v) => {
@@ -838,7 +851,7 @@ impl TwoWayUnranked {
                         state[c.index()] = None;
                     }
                     state[v.index()] = Some(q2);
-                    assume(&mut assumed, v, q2);
+                    assumed.insert(v.index(), q2);
                 }
                 Move::Stay(v) => {
                     let pairs: Vec<(StateId, Symbol)> = tree
@@ -857,7 +870,7 @@ impl TwoWayUnranked {
                     stays[v.index()] += 1;
                     for (&c, q2) in tree.children(v).iter().zip(new_states) {
                         state[c.index()] = Some(q2);
-                        assume(&mut assumed, c, q2);
+                        assumed.insert(c.index(), q2);
                     }
                 }
             }
@@ -970,11 +983,12 @@ mod tests {
         let rec = machine.run(&t).unwrap();
         assert!(rec.accepted);
         let kids = t.children(t.root());
-        // first and last got m (index 1), middles got s (index 0)
-        assert_eq!(rec.assumed[kids[0].index()][0], m);
-        assert_eq!(rec.assumed[kids[1].index()][0], s);
-        assert_eq!(rec.assumed[kids[2].index()][0], s);
-        assert_eq!(rec.assumed[kids[3].index()][0], m);
+        // first and last got m (index 1), middles got s (index 0); every
+        // leaf then flips to u
+        for (i, want) in [m, s, s, m].into_iter().enumerate() {
+            let got: Vec<StateId> = rec.assumed.states(kids[i].index()).collect();
+            assert_eq!(got, [want, u], "child {i}");
+        }
     }
 
     #[test]

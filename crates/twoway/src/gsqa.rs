@@ -22,8 +22,8 @@ use crate::twodfa::TwoDfa;
 #[derive(Clone, Debug)]
 pub struct Gsqa {
     machine: TwoDfa,
-    /// `output[state][symbol]` = Γ-symbol emitted, if any.
-    output: Vec<Vec<Option<u32>>>,
+    /// `output[state · |Σ| + symbol]` = Γ-symbol emitted, if any.
+    output: Vec<Option<u32>>,
     gamma_len: usize,
 }
 
@@ -31,7 +31,7 @@ impl Gsqa {
     /// Wrap `machine` with an everything-`⊥` output function over an output
     /// alphabet of `gamma_len` symbols.
     pub fn new(machine: TwoDfa, gamma_len: usize) -> Self {
-        let output = vec![vec![None; machine.alphabet_len()]; machine.num_states()];
+        let output = vec![None; machine.num_states() * machine.alphabet_len()];
         Gsqa {
             machine,
             output,
@@ -42,12 +42,14 @@ impl Gsqa {
     /// Set `λ(state, sym) = gamma`.
     pub fn set_output(&mut self, state: StateId, sym: Symbol, gamma: u32) {
         debug_assert!((gamma as usize) < self.gamma_len, "gamma outside Γ");
-        self.output[state.index()][sym.index()] = Some(gamma);
+        let slot = state.index() * self.machine.alphabet_len() + sym.index();
+        self.output[slot] = Some(gamma);
     }
 
     /// The output for `(state, sym)`, if any.
+    #[inline]
     pub fn output_of(&self, state: StateId, sym: Symbol) -> Option<u32> {
-        self.output[state.index()][sym.index()]
+        self.output[state.index() * self.machine.alphabet_len() + sym.index()]
     }
 
     /// The underlying 2DFA.
@@ -72,8 +74,27 @@ impl Gsqa {
     /// output-collection scan are reported to `obs`. With [`NoopObserver`]
     /// this monomorphizes to exactly `run`.
     pub fn run_with<O: Observer>(&self, word: &[Symbol], obs: &mut O) -> Result<Vec<u32>> {
+        // Each position's output is that of the first state assumed there
+        // with one; `clash` keeps the leftmost position where a later
+        // state outputs something else, with both outputs.
+        let mut out: Vec<Option<u32>> = vec![None; word.len()];
+        let mut clash: Option<(usize, u32, u32)> = None;
         obs.phase_start("run");
-        let rec = self.machine.run_with(word, obs);
+        let rec = self.machine.run_noting(word, obs, |pos, s| {
+            let Some(i) = pos.checked_sub(1).filter(|&i| i < word.len()) else {
+                return;
+            };
+            match (out[i], self.output_of(s, word[i])) {
+                (_, None) => {}
+                (None, g) => out[i] = g,
+                (Some(prev), Some(g))
+                    if prev != g && !matches!(clash, Some((at, ..)) if at <= i) =>
+                {
+                    clash = Some((i, prev, g));
+                }
+                _ => {}
+            }
+        });
         obs.phase_end("run");
         let rec = rec?;
         if !rec.accepted {
@@ -82,28 +103,13 @@ impl Gsqa {
             ));
         }
         obs.phase_start("output scan");
-        let mut out: Vec<Option<u32>> = vec![None; word.len()];
-        for (pos, states) in rec.assumed.iter().enumerate() {
-            let Some(sym) = Tape::at(word, pos).symbol() else {
-                continue;
-            };
-            obs.count(Counter::SelectionChecks, states.len() as u64);
-            for &s in states {
-                if let Some(g) = self.output_of(s, sym) {
-                    match out[pos - 1] {
-                        None => out[pos - 1] = Some(g),
-                        Some(prev) if prev == g => {}
-                        Some(prev) => {
-                            return Err(Error::ill_formed(
-                                "GSQA output",
-                                format!(
-                                    "two distinct outputs ({prev} and {g}) at position {}",
-                                    pos - 1
-                                ),
-                            ))
-                        }
-                    }
-                }
+        for i in 0..word.len() {
+            obs.count(Counter::SelectionChecks, rec.assumed.count(i + 1) as u64);
+            if let Some((at, prev, g)) = clash.filter(|&(at, ..)| at == i) {
+                return Err(Error::ill_formed(
+                    "GSQA output",
+                    format!("two distinct outputs ({prev} and {g}) at position {at}"),
+                ));
             }
         }
         obs.phase_end("output scan");
@@ -181,7 +187,7 @@ mod tests {
         let a = Alphabet::from_names(["0", "1"]);
         let mut g = example_3_6_gsqa(&a);
         // Break the output function: drop λ(s1, 0).
-        g.output[1][0] = None;
+        g.output[g.machine.alphabet_len()] = None;
         let w = a.word("00");
         assert!(matches!(g.run(&w), Err(Error::IllFormed { .. })));
     }

@@ -4,7 +4,8 @@
 //! Section 3 of *Query Automata* (Neven & Schwentick):
 //!
 //! - [`TwoDfa`]: two-way deterministic finite automata over endmarked tapes
-//!   `⊳ w ⊲` (Definition 3.1), with loop detection and full run records.
+//!   `⊳ w ⊲` (Definition 3.1), with loop detection; a run records the
+//!   `Assumed` set of every position as a bitset ([`AssumedSets`]).
 //! - [`StringQa`]: query automata on strings — a 2DFA plus a selection
 //!   function (Definition 3.2).
 //! - [`Gsqa`]: generalized string query automata that output one symbol of an
@@ -22,6 +23,7 @@
 //!   right-to-left DFA into a single two-way machine ([`Bimachine`] is the
 //!   declarative form, [`hopcroft_ullman::compose`] builds the actual GSQA).
 
+pub mod assumed;
 pub mod behavior;
 pub mod cache;
 pub mod crossing;
@@ -32,6 +34,7 @@ pub mod string_qa;
 pub mod tape;
 pub mod twodfa;
 
+pub use assumed::AssumedSets;
 pub use cache::CrossingCache;
 pub use gsqa::Gsqa;
 pub use hopcroft_ullman::Bimachine;

@@ -25,26 +25,28 @@ use crate::twodfa::TwoDfa;
 #[derive(Clone, Debug)]
 pub struct StringQa {
     machine: TwoDfa,
-    /// `select[state][symbol]`.
-    select: Vec<Vec<bool>>,
+    /// `select[state · |Σ| + symbol]`.
+    select: Vec<bool>,
 }
 
 impl StringQa {
     /// Wrap `machine` with an everything-`⊥` selection function; use
     /// [`StringQa::set_selecting`] to mark selecting pairs.
     pub fn new(machine: TwoDfa) -> Self {
-        let select = vec![vec![false; machine.alphabet_len()]; machine.num_states()];
+        let select = vec![false; machine.num_states() * machine.alphabet_len()];
         StringQa { machine, select }
     }
 
     /// Mark `λ(state, sym) = 1`.
     pub fn set_selecting(&mut self, state: StateId, sym: Symbol, selecting: bool) {
-        self.select[state.index()][sym.index()] = selecting;
+        let slot = state.index() * self.machine.alphabet_len() + sym.index();
+        self.select[slot] = selecting;
     }
 
     /// Whether `λ(state, sym) = 1`.
+    #[inline]
     pub fn is_selecting(&self, state: StateId, sym: Symbol) -> bool {
-        self.select[state.index()][sym.index()]
+        self.select[state.index() * self.machine.alphabet_len() + sym.index()]
     }
 
     /// The underlying 2DFA.
@@ -62,8 +64,18 @@ impl StringQa {
     /// every selection-function probe are reported to `obs`. With
     /// [`NoopObserver`] this monomorphizes to exactly `query`.
     pub fn query_with<O: Observer>(&self, word: &[Symbol], obs: &mut O) -> Result<Vec<usize>> {
+        // `first[i]`: the first selecting state the run assumed on
+        // `word[i]`, the one Definition 3.2's scan reports.
+        let mut first: Vec<Option<StateId>> = vec![None; word.len()];
         obs.phase_start("run");
-        let rec = self.machine.run_with(word, obs);
+        let rec = self.machine.run_noting(word, obs, |pos, s| {
+            let Some(i) = pos.checked_sub(1).filter(|&i| i < word.len()) else {
+                return;
+            };
+            if first[i].is_none() && self.is_selecting(s, word[i]) {
+                first[i] = Some(s);
+            }
+        });
         obs.phase_end("run");
         let rec = rec?;
         if !rec.accepted {
@@ -71,14 +83,11 @@ impl StringQa {
         }
         obs.phase_start("selection scan");
         let mut out = Vec::new();
-        for (pos, states) in rec.assumed.iter().enumerate() {
-            let Some(sym) = Tape::at(word, pos).symbol() else {
-                continue;
-            };
-            obs.count(Counter::SelectionChecks, states.len() as u64);
-            if let Some(&s) = states.iter().find(|&&s| self.is_selecting(s, sym)) {
-                obs.selected(pos as u32, s.index() as u32, sym.index() as u32);
-                out.push(pos - 1);
+        for (i, (&sym, s)) in word.iter().zip(first).enumerate() {
+            obs.count(Counter::SelectionChecks, rec.assumed.count(i + 1) as u64);
+            if let Some(s) = s {
+                obs.selected(i as u32 + 1, s.index() as u32, sym.index() as u32);
+                out.push(i);
             }
         }
         obs.phase_end("selection scan");

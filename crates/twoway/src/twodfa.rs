@@ -4,6 +4,7 @@ use qa_base::{Error, Result, Symbol};
 use qa_obs::{Counter, Machine, NoopObserver, Observer, Series};
 use qa_strings::StateId;
 
+use crate::assumed::AssumedSets;
 use crate::tape::Tape;
 
 /// Direction of a 2DFA move.
@@ -33,8 +34,9 @@ pub struct TwoDfa {
     num_states: usize,
     initial: StateId,
     finals: Vec<bool>,
-    /// `action[state][cell]`: the move, if defined.
-    action: Vec<Vec<Option<(Dir, StateId)>>>,
+    /// `action[state · cells + cell]`, `cells = |Σ| + 2`: the move, if
+    /// defined.
+    action: Vec<Option<(Dir, StateId)>>,
 }
 
 /// Builder for [`TwoDfa`]; validates invariants in [`TwoDfaBuilder::build`].
@@ -62,9 +64,10 @@ impl TwoDfaBuilder {
         let id = StateId::from_index(self.inner.num_states);
         self.inner.num_states += 1;
         self.inner.finals.push(false);
+        let cells = Tape::table_len(self.inner.alphabet_len);
         self.inner
             .action
-            .push(vec![None; Tape::table_len(self.inner.alphabet_len)]);
+            .resize(self.inner.action.len() + cells, None);
         id
     }
 
@@ -82,7 +85,8 @@ impl TwoDfaBuilder {
 
     /// Define the move for `(state, cell)`.
     pub fn set_action(&mut self, state: StateId, cell: Tape, dir: Dir, next: StateId) -> &mut Self {
-        self.inner.action[state.index()][cell.encode()] = Some((dir, next));
+        let slot = self.inner.slot(state, cell);
+        self.inner.action[slot] = Some((dir, next));
         self
     }
 
@@ -100,14 +104,15 @@ impl TwoDfaBuilder {
         if m.num_states == 0 {
             return Err(Error::ill_formed("2DFA", "no states"));
         }
-        for (s, row) in m.action.iter().enumerate() {
-            if let Some((Dir::Left, _)) = row[Tape::LeftMarker.encode()] {
+        for s in 0..m.num_states {
+            let q = StateId::from_index(s);
+            if let Some((Dir::Left, _)) = m.action(q, Tape::LeftMarker) {
                 return Err(Error::ill_formed(
                     "2DFA",
                     format!("state q{s} moves left from the left endmarker"),
                 ));
             }
-            if let Some((Dir::Right, _)) = row[Tape::RightMarker.encode()] {
+            if let Some((Dir::Right, _)) = m.action(q, Tape::RightMarker) {
                 return Err(Error::ill_formed(
                     "2DFA",
                     format!("state q{s} moves right from the right endmarker"),
@@ -122,20 +127,23 @@ impl TwoDfaBuilder {
 /// endmarked tape (`0 = ⊳`, `|w| + 1 = ⊲`).
 pub type Config = (StateId, usize);
 
-/// The complete record of a halting 2DFA run.
+/// The record of a halting 2DFA run: its verdict, where it halted, the
+/// `Assumed` set of every tape position and its length.
+///
+/// The configuration sequence itself is not kept: an observer that wants
+/// it, such as [`qa_obs::RunTrace`], receives every configuration as the
+/// run makes it.
 #[derive(Clone, Debug)]
 pub struct RunRecord {
     /// Whether the halting state was final.
     pub accepted: bool,
     /// The halting configuration.
     pub halt: Config,
-    /// For each tape position (including endmarkers), the states assumed
-    /// there, in first-visit order — `Assumed(w, i)` of the paper.
-    pub assumed: Vec<Vec<StateId>>,
+    /// For each tape position (including endmarkers, `0 = ⊳`), the states
+    /// assumed there — `Assumed(w, i)` of the paper.
+    pub assumed: AssumedSets,
     /// Total number of moves made.
     pub steps: u64,
-    /// The full configuration sequence (start configuration first).
-    pub trace: Vec<Config>,
 }
 
 impl TwoDfa {
@@ -162,10 +170,16 @@ impl TwoDfa {
     /// The move for `(state, cell)`, if defined.
     #[inline]
     pub fn action(&self, state: StateId, cell: Tape) -> Option<(Dir, StateId)> {
-        self.action[state.index()][cell.encode()]
+        self.action[self.slot(state, cell)]
     }
 
-    /// Run on `word`, recording the trace and per-position assumed states.
+    #[inline]
+    fn slot(&self, state: StateId, cell: Tape) -> usize {
+        state.index() * Tape::table_len(self.alphabet_len) + cell.encode()
+    }
+
+    /// Run on `word`, recording the halting configuration and the states
+    /// assumed at each position.
     ///
     /// Errors with [`Error::FuelExhausted`] iff the machine loops on this
     /// input (a deterministic machine that exceeds `|S| · (|w| + 2)` steps
@@ -211,22 +225,34 @@ impl TwoDfa {
     /// # Ok::<(), qa_base::Error>(())
     /// ```
     pub fn run_with<O: Observer>(&self, word: &[Symbol], obs: &mut O) -> Result<RunRecord> {
+        self.run_noting(word, obs, |_, _| {})
+    }
+
+    /// [`TwoDfa::run_with`] that calls `note(pos, state)` the first time
+    /// the run assumes `state` at tape position `pos`, so in the order in
+    /// which the states of each position are first assumed. Queries note
+    /// there what a set alone does not keep, such as the first selecting
+    /// state of each position.
+    pub(crate) fn run_noting<O: Observer>(
+        &self,
+        word: &[Symbol],
+        obs: &mut O,
+        mut note: impl FnMut(usize, StateId),
+    ) -> Result<RunRecord> {
         let tape_len = word.len() + 2;
         let fuel = (self.num_states as u64) * (tape_len as u64) + 1;
         let mut state = self.initial;
         let mut pos = 0usize;
         let mut steps = 0u64;
         let mut last_dir: Option<Dir> = None;
-        let mut assumed: Vec<Vec<StateId>> = vec![Vec::new(); tape_len];
-        let mut trace: Vec<Config> = Vec::new();
+        let mut assumed = AssumedSets::new(tape_len, self.num_states);
         loop {
             if let Err(a) = obs.checkpoint() {
                 obs.count(Counter::BudgetTrips, 1);
                 return Err(Error::aborted(a.what, a.limit, a.actual));
             }
-            trace.push((state, pos));
-            if !assumed[pos].contains(&state) {
-                assumed[pos].push(state);
+            if assumed.insert(pos, state) {
+                note(pos, state);
             }
             obs.count(Counter::TableLookups, 1);
             let cell = Tape::at(word, pos);
@@ -236,8 +262,8 @@ impl TwoDfa {
                     obs.config(state.index() as u32, pos as u32, 0);
                     obs.record(Series::TraceLength, steps);
                     if obs.is_enabled() {
-                        for states in &assumed {
-                            obs.record(Series::AssumedStates, states.len() as u64);
+                        for cell in 0..tape_len {
+                            obs.record(Series::AssumedStates, assumed.count(cell) as u64);
                         }
                     }
                     return Ok(RunRecord {
@@ -245,7 +271,6 @@ impl TwoDfa {
                         halt: (state, pos),
                         assumed,
                         steps,
-                        trace,
                     });
                 }
                 Some((dir, next)) => {
@@ -341,6 +366,7 @@ impl TwoDfa {
 mod tests {
     use super::*;
     use qa_base::Alphabet;
+    use qa_obs::RunTrace;
 
     fn sym(i: usize) -> Symbol {
         Symbol::from_index(i)
@@ -376,10 +402,13 @@ mod tests {
         assert_eq!(rec.halt, (StateId::from_index(1), 0));
         // The paper's position 3 (its tape is 1-based with ⊳ at 1) is our
         // tape position 2, the first `1` of the input; it is visited in s1.
-        assert!(rec.assumed[2].contains(&StateId::from_index(1)));
-        assert!(rec.assumed[3].contains(&StateId::from_index(2)));
-        // 11 configurations as in the paper's displayed run
-        assert_eq!(rec.trace.len(), 11);
+        assert!(rec.assumed.contains(2, StateId::from_index(1)));
+        assert!(rec.assumed.contains(3, StateId::from_index(2)));
+        // 11 configurations as in the paper's displayed run, read from a
+        // RunTrace: the record keeps no configuration sequence
+        let mut trace = RunTrace::new();
+        m.run_with(&w, &mut trace).unwrap();
+        assert_eq!(trace.configs.len(), 11);
     }
 
     #[test]
@@ -440,8 +469,10 @@ mod tests {
     #[test]
     fn trace_starts_at_left_marker_in_initial_state() {
         let m = example_3_4();
-        let rec = m.run(&[sym(1)]).unwrap();
-        assert_eq!(rec.trace[0], (StateId::from_index(0), 0));
+        let mut trace = RunTrace::new();
+        m.run_with(&[sym(1)], &mut trace).unwrap();
+        let first = &trace.configs[0];
+        assert_eq!((first.state, first.pos), (0, 0));
     }
 
     #[test]

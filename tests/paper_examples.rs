@@ -38,9 +38,16 @@ fn example_3_4_run_and_selection() {
     let sigma = Alphabet::from_names(["0", "1"]);
     let qa = query_automata::twoway::string_qa::example_3_4_qa(&sigma);
     let w = sigma.word("0110");
-    let rec = qa.machine().run(&w).unwrap();
+    // The run record keeps no configuration sequence; a RunTrace observer
+    // receives every configuration as the run makes it.
+    let mut trace = RunTrace::new();
+    let rec = qa.machine().run_with(&w, &mut trace).unwrap();
     assert!(rec.accepted);
-    assert_eq!(rec.trace.len(), 11, "the paper's run has 11 configurations");
+    assert_eq!(
+        trace.configs.len(),
+        11,
+        "the paper's run has 11 configurations"
+    );
     assert_eq!(rec.halt.1, 0, "halts at ⊳");
     assert_eq!(qa.query(&w).unwrap(), vec![1]);
 }

@@ -122,11 +122,11 @@ fn behavior_analysis_matches_run() {
         let rec = m.run(&w).unwrap();
         let ba = BehaviorAnalysis::analyze(m, &w);
         assert_eq!(ba.accepted(m), rec.accepted, "case {case}: {w:?}");
-        for (i, states) in rec.assumed.iter().enumerate() {
+        assert_eq!(rec.assumed.len(), ba.assumed.len(), "case {case}: {w:?}");
+        for i in 0..rec.assumed.len() {
             let mut got = ba.assumed[i].clone();
-            let mut want = states.clone();
             got.sort_unstable();
-            want.sort_unstable();
+            let want: Vec<_> = rec.assumed.states(i).collect();
             assert_eq!(got, want, "case {case}: {w:?} @ {i}");
         }
     }

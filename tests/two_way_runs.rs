@@ -1,0 +1,348 @@
+//! The run loops of the two-way engines: which selecting state a query
+//! reports when a position or node assumes several, and `Assumed` sets of
+//! machines with more than 64 states.
+
+use query_automata::base::rng::{Rng, StdRng};
+use query_automata::core::ranked::twoway::Polarity;
+use query_automata::core::unranked::stay::{pair_alphabet_len, pair_symbol};
+use query_automata::obs::{Counter, Metrics};
+use query_automata::prelude::*;
+use query_automata::strings::{Dfa, SlenderLang, StateId};
+use query_automata::trees::generate;
+use query_automata::twoway::behavior::BehaviorAnalysis;
+use query_automata::twoway::twodfa::Dir;
+use query_automata::twoway::Tape;
+
+fn q(i: usize) -> StateId {
+    StateId::from_index(i)
+}
+
+/// Every `selected` event of a run, as `(pos, state, sym)`.
+#[derive(Default)]
+struct Selections(Vec<(u32, u32, u32)>);
+
+impl Observer for Selections {
+    fn selected(&mut self, pos: u32, state: u32, sym: u32) {
+        self.0.push((pos, state, sym));
+    }
+}
+
+/// `q0` walks right over `⊳` into `q2`, `q2` walks right to `⊲`, and `q1`
+/// walks back and halts on `⊳`: every symbol is assumed in `q2` first and
+/// in `q1` after it.
+fn right_then_left() -> TwoDfa {
+    let mut b = TwoDfaBuilder::new(1);
+    let (q0, q1, q2) = (b.add_state(), b.add_state(), b.add_state());
+    b.set_initial(q0);
+    b.set_final(q1, true);
+    b.set_action(q0, Tape::LeftMarker, Dir::Right, q2);
+    b.set_action_all_symbols(q2, Dir::Right, q2);
+    b.set_action(q2, Tape::RightMarker, Dir::Left, q1);
+    b.set_action_all_symbols(q1, Dir::Left, q1);
+    b.build().unwrap()
+}
+
+/// Assert that the query's `selected` events and its `why_selected`
+/// certificates name `want` at every position in `positions`.
+fn assert_selected_in(sel: &Selections, prov: &ProvenanceObserver, positions: &[u32], want: u32) {
+    let got: Vec<(u32, u32)> = sel.0.iter().map(|&(p, s, _)| (p, s)).collect();
+    let expect: Vec<(u32, u32)> = positions.iter().map(|&p| (p, want)).collect();
+    assert_eq!(got, expect, "selected events");
+    for &p in positions {
+        let why = prov
+            .why_selected(p)
+            .expect("selected positions are certified");
+        assert_eq!(why.state, want, "certificate at {p}");
+    }
+}
+
+#[test]
+fn string_qa_reports_the_first_assumed_selecting_state() {
+    let mut qa = StringQa::new(right_then_left());
+    let a = Symbol::from_index(0);
+    qa.set_selecting(q(1), a, true);
+    qa.set_selecting(q(2), a, true);
+    let word = vec![a; 3];
+    let (mut sel, mut prov) = (Selections::default(), ProvenanceObserver::new());
+    let out = qa
+        .query_with(&word, &mut query_automata::obs::Tee(&mut sel, &mut prov))
+        .unwrap();
+    assert_eq!(out, vec![0, 1, 2]);
+    // q2, not the lower-index q1, is the first selecting state each
+    // tape position 1..=3 assumed
+    assert_selected_in(&sel, &prov, &[1, 2, 3], 2);
+}
+
+#[test]
+fn gsqa_clash_names_the_first_assumed_output_first() {
+    let mut g = Gsqa::new(right_then_left(), 2);
+    let a = Symbol::from_index(0);
+    g.set_output(q(2), a, 1);
+    g.set_output(q(1), a, 0);
+    // Both positions clash; the scan reports the leftmost, and the output
+    // of the state assumed there first (q2's 1) before the other.
+    assert_eq!(
+        g.run(&[a, a]).unwrap_err().to_string(),
+        "ill-formed automaton (GSQA output): two distinct outputs (1 and 0) at position 0"
+    );
+    g.set_output(q(1), a, 1);
+    assert_eq!(g.run(&[a, a]).unwrap(), vec![1, 1]);
+}
+
+#[test]
+fn ranked_qa_reports_the_first_assumed_selecting_state() {
+    // (a a a): the root descends in q0, the leaves turn q2 and fold into
+    // q2 at the root, which δ_root turns into q1. The root assumes
+    // q0, q2, q1 in that order.
+    let mut b = TwoWayRankedBuilder::new(1, 2);
+    let (q0, q1, q2) = (b.add_state(), b.add_state(), b.add_state());
+    let a = Symbol::from_index(0);
+    b.set_initial(q0);
+    b.set_final(q1, true);
+    b.set_polarity_all(q0, Polarity::Down);
+    b.set_polarity_all(q1, Polarity::Up);
+    b.set_polarity_all(q2, Polarity::Up);
+    b.set_down(q0, a, &[q0, q0]);
+    b.set_leaf(q0, a, q2);
+    b.set_up(&[(q2, a), (q2, a)], q2);
+    b.set_root(q2, a, q1);
+    let mut qa = RankedQa::new(b.build().unwrap());
+    qa.set_selecting(q1, a, true);
+    qa.set_selecting(q2, a, true);
+    let mut names = Alphabet::from_names(["a"]);
+    let t = from_sexpr("(a a a)", &mut names).unwrap();
+    let (mut sel, mut prov) = (Selections::default(), ProvenanceObserver::new());
+    let out = qa
+        .query_with(&t, &mut query_automata::obs::Tee(&mut sel, &mut prov))
+        .unwrap();
+    assert_eq!(out.len(), 3);
+    assert_selected_in(&sel, &prov, &[0, 1, 2], 2);
+}
+
+#[test]
+fn unranked_qa_reports_the_first_assumed_selecting_state() {
+    // The unranked form of the ranked machine above, over any fan-out.
+    let mut b = TwoWayUnrankedBuilder::new(1);
+    let (q0, q1, q2) = (b.add_state(), b.add_state(), b.add_state());
+    let a = Symbol::from_index(0);
+    b.set_initial(q0);
+    b.set_final(q1, true);
+    b.set_polarity_all(q0, Polarity::Down);
+    b.set_polarity_all(q1, Polarity::Up);
+    b.set_polarity_all(q2, Polarity::Up);
+    b.set_down(q0, a, SlenderLang::uniform(Symbol::from_index(q0.index())));
+    b.set_leaf(q0, a, q2);
+    b.set_root(q2, a, q1);
+    b.add_up_language(q2, plus(pair_alphabet_len(3, 1), pair_symbol(q2, a, 1)));
+    let mut qa = UnrankedQa::new(b.build().unwrap());
+    qa.set_selecting(q1, a, true);
+    qa.set_selecting(q2, a, true);
+    let mut names = Alphabet::from_names(["a"]);
+    let t = from_sexpr("(a a a a)", &mut names).unwrap();
+    let (mut sel, mut prov) = (Selections::default(), ProvenanceObserver::new());
+    let out = qa
+        .query_with(&t, &mut query_automata::obs::Tee(&mut sel, &mut prov))
+        .unwrap();
+    assert_eq!(out.len(), 4);
+    assert_selected_in(&sel, &prov, &[0, 1, 2, 3], 2);
+}
+
+/// `sym⁺` over an alphabet of `len` symbols.
+fn plus(len: usize, sym: Symbol) -> Dfa {
+    let mut d = Dfa::new(len);
+    let (s0, s1) = (d.add_state(), d.add_state());
+    d.set_initial(s0);
+    d.set_accepting(s1, true);
+    d.set_transition(s0, sym, s1);
+    d.set_transition(s1, sym, s1);
+    d
+}
+
+/// States of the wide machines: past one `u64` word of `Assumed` bits.
+const WIDE: usize = 70;
+
+#[test]
+fn string_machine_over_64_states_agrees_with_behavior_analysis() {
+    // A sweep over a counter DFA: symbol i adds i + 1 modulo 70, so long
+    // words reach states on both sides of the word boundary at 64.
+    let mut dfa = Dfa::new(2);
+    for _ in 0..WIDE {
+        dfa.add_state();
+    }
+    dfa.set_initial(q(0));
+    for s in 0..WIDE {
+        dfa.set_accepting(q(s), s % 5 != 4);
+        for i in 0..2 {
+            dfa.set_transition(q(s), Symbol::from_index(i), q((s + i + 1) % WIDE));
+        }
+    }
+    let machine = TwoDfa::from_dfa_sweep(&dfa).unwrap();
+    let mut qa = StringQa::new(machine.clone());
+    for s in (0..WIDE).filter(|s| s % 3 == 0 || *s >= 64) {
+        qa.set_selecting(q(s), Symbol::from_index(s % 2), true);
+    }
+    let mut rng = StdRng::seed_from_u64(0x70);
+    let mut wide_selections = 0;
+    for case in 0..40 {
+        let len = rng.gen_range(0..160);
+        let w: Vec<Symbol> = (0..len)
+            .map(|_| Symbol::from_index(rng.gen_range(0..2)))
+            .collect();
+        let metrics = Metrics::new();
+        let rec = machine.run_with(&w, &mut metrics.observer()).unwrap();
+        let ba = BehaviorAnalysis::analyze(&machine, &w);
+        assert_eq!(rec.accepted, ba.accepted(&machine), "case {case}");
+        assert_eq!(rec.halt, ba.halt().unwrap(), "case {case}");
+        assert_eq!(rec.steps, len as u64 + 1, "case {case}: one move per cell");
+        assert_eq!(metrics.get(Counter::Steps), rec.steps, "case {case}");
+        assert_eq!(rec.assumed.len(), ba.assumed.len());
+        for i in 0..rec.assumed.len() {
+            let mut want = ba.assumed[i].clone();
+            want.sort_unstable();
+            let got: Vec<StateId> = rec.assumed.states(i).collect();
+            assert_eq!(got, want, "case {case} @ {i}");
+            assert_eq!(rec.assumed.count(i), want.len());
+        }
+        let got = qa.query(&w).unwrap();
+        assert_eq!(got, qa.query_via_behavior(&w), "case {case}");
+        wide_selections += got
+            .iter()
+            .filter(|&&i| rec.assumed.states(i + 1).any(|s| s.index() >= 64))
+            .count();
+    }
+    assert!(
+        wide_selections > 0,
+        "some selection is made in a state ≥ 64"
+    );
+}
+
+/// A chain of `len` `a` nodes with a second `a` leaf hanging off every
+/// fifth node, so the machines meet both arities.
+fn comb(len: usize) -> Tree {
+    let mut s = String::new();
+    for i in 0..len {
+        s.push_str(if i % 5 == 4 { "(a a " } else { "(a " });
+    }
+    s.push('a');
+    s.push_str(&")".repeat(len));
+    from_sexpr(&s, &mut Alphabet::from_names(["a"])).unwrap()
+}
+
+/// Trees deep enough to reach states past 64: combs and random trees.
+fn wide_trees(seed: u64, max_rank: Option<usize>) -> Vec<Tree> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut trees: Vec<Tree> = [0, 1, 63, 64, 65, 69, 70, 71, 150].map(comb).into();
+    for n in [1, 5, 40, 200] {
+        trees.push(generate::random(
+            &mut rng,
+            &[Symbol::from_index(0)],
+            n,
+            max_rank,
+        ));
+    }
+    trees
+}
+
+/// The nodes whose `Assumed` set holds a selecting state, as the selection
+/// scan of an accepting run reports them.
+fn selected_from(
+    assumed: &query_automata::twoway::AssumedSets,
+    t: &Tree,
+    selecting: impl Fn(StateId) -> bool,
+) -> Vec<NodeId> {
+    t.nodes()
+        .filter(|v| assumed.states(v.index()).any(&selecting))
+        .collect()
+}
+
+#[test]
+fn ranked_machine_over_64_states_agrees_with_scheduled_runs() {
+    // d_i descends handing d_{i+1 mod 70} to every child; leaves turn u,
+    // and u folds up to the root.
+    let a = Symbol::from_index(0);
+    let mut b = TwoWayRankedBuilder::new(1, 2);
+    for _ in 0..=WIDE {
+        b.add_state();
+    }
+    let u = q(WIDE);
+    b.set_initial(q(0));
+    b.set_final(u, true);
+    b.set_polarity_all(u, Polarity::Up);
+    for i in 0..WIDE {
+        let next = q((i + 1) % WIDE);
+        b.set_polarity_all(q(i), Polarity::Down);
+        b.set_down(q(i), a, &[next]);
+        b.set_down(q(i), a, &[next, next]);
+        b.set_leaf(q(i), a, u);
+    }
+    b.set_up(&[(u, a)], u);
+    b.set_up(&[(u, a), (u, a)], u);
+    let mut qa = RankedQa::new(b.build().unwrap());
+    let selecting = |s: StateId| s.index().is_multiple_of(7) || (65..WIDE).contains(&s.index());
+    for s in (0..=WIDE).map(q).filter(|&s| selecting(s)) {
+        qa.set_selecting(s, a, true);
+    }
+    let m = qa.machine();
+    let mut rng = StdRng::seed_from_u64(0x71);
+    for (case, t) in wide_trees(0x72, Some(2)).iter().enumerate() {
+        let metrics = Metrics::new();
+        let rec = m.run_with(t, &mut metrics.observer()).unwrap();
+        let reference = m
+            .run_scheduled(t, m.default_fuel(t), |n| rng.gen_range(0..n))
+            .unwrap();
+        assert!(rec.accepted && reference.accepted, "case {case}");
+        assert_eq!(rec.assumed, reference.assumed, "case {case}");
+        assert_eq!(metrics.get(Counter::Steps), reference.steps, "case {case}");
+        assert_eq!(
+            qa.query(t).unwrap(),
+            selected_from(&reference.assumed, t, selecting),
+            "case {case}"
+        );
+    }
+}
+
+#[test]
+fn unranked_machine_over_64_states_agrees_with_scheduled_runs() {
+    // The unranked form of the ranked machine above, over any fan-out.
+    let a = Symbol::from_index(0);
+    let mut b = TwoWayUnrankedBuilder::new(1);
+    for _ in 0..=WIDE {
+        b.add_state();
+    }
+    let u = q(WIDE);
+    b.set_initial(q(0));
+    b.set_final(u, true);
+    b.set_polarity_all(u, Polarity::Up);
+    for i in 0..WIDE {
+        let next = Symbol::from_index((i + 1) % WIDE);
+        b.set_polarity_all(q(i), Polarity::Down);
+        b.set_down(q(i), a, SlenderLang::uniform(next));
+        b.set_leaf(q(i), a, u);
+    }
+    b.add_up_language(
+        u,
+        plus(pair_alphabet_len(WIDE + 1, 1), pair_symbol(u, a, 1)),
+    );
+    let mut qa = UnrankedQa::new(b.build().unwrap());
+    let selecting = |s: StateId| s.index().is_multiple_of(7) || (65..WIDE).contains(&s.index());
+    for s in (0..=WIDE).map(q).filter(|&s| selecting(s)) {
+        qa.set_selecting(s, a, true);
+    }
+    let m = qa.machine();
+    let mut rng = StdRng::seed_from_u64(0x73);
+    for (case, t) in wide_trees(0x74, None).iter().enumerate() {
+        let metrics = Metrics::new();
+        let rec = m.run_with(t, &mut metrics.observer()).unwrap();
+        let reference = m
+            .run_scheduled(t, m.default_fuel(t), |n| rng.gen_range(0..n))
+            .unwrap();
+        assert!(rec.accepted && reference.accepted, "case {case}");
+        assert_eq!(rec.assumed, reference.assumed, "case {case}");
+        assert_eq!(metrics.get(Counter::Steps), reference.steps, "case {case}");
+        assert_eq!(
+            qa.query(t).unwrap(),
+            selected_from(&reference.assumed, t, selecting),
+            "case {case}"
+        );
+    }
+}
