@@ -8,14 +8,16 @@
 //! below. The unary formulas are qa-serve's soak formulas and the five
 //! templates of qa-benchmark's churn workload, compiled as the daemon
 //! compiles them: unranked, with `#PCDATA`, `a`, `b`, `c` interned, so
-//! σ = 4. Two ranked sentences add a set quantifier and rank 3.
+//! σ = 4. Two ranked sentences add a set quantifier and rank 3. The string
+//! formulas pin Büchi's construction, which shares the compiler.
 
 use std::fmt::Write;
 
 use qa_base::Alphabet;
 use qa_core::ranked::{ops, Dbta, Nbta};
 use qa_mso::compile_string::base_symbol;
-use qa_mso::{compile_ranked, parse, unranked};
+use qa_mso::{compile_ranked, compile_string, parse, unranked};
+use qa_strings::{Dfa, StateId};
 
 /// `(formula, states, hash of the compiled listing, hash of the
 /// totalized listing)`.
@@ -183,4 +185,82 @@ fn products_and_subset_constructions_keep_their_numbering() {
         mismatches, 0,
         "construction numbering changed; now:\n{actual}"
     );
+}
+
+/// String formulas over `{0, 1}`, each a sentence or a unary query over its
+/// one free variable: `(formula, states, hash of the listing)`.
+const STRING: [(&str, usize, u64); 6] = [
+    // the sentences of `tests/properties.rs::mso_string_sentences_agree`;
+    // the second is also E7's sentence
+    ("ex x. label(x, 1)", 2, 0x7d99a88c4792b1e7),
+    (
+        "all x. all y. (edge(x, y) -> !(label(x, 1) & label(y, 1)))",
+        3,
+        0x53409c8e1e0d8167,
+    ),
+    (
+        "ex x. ex y. (x < y & label(x, 1) & label(y, 0))",
+        3,
+        0x3c315efc2bd60822,
+    ),
+    (
+        "ex2 X. ((all x. (root(x) -> x in X)) \
+         & (all x. all y. (edge(x, y) -> (y in X <-> !(x in X)))) \
+         & (all x. (leaf(x) -> !(x in X))))",
+        2,
+        0x0c80521df6de52e7,
+    ),
+    // E7's query
+    (
+        "label(v, 1) & !(ex w. (w < v & label(w, 1)))",
+        3,
+        0xc9b1c05594ee52cb,
+    ),
+    // Example 3.4's query
+    (
+        "label(v, 1) & (ex2 X. ( (all x. (leaf(x) -> x in X)) \
+         & (all x. all y. (edge(x, y) -> (y in X <-> !(x in X)))) \
+         & v in X ))",
+        4,
+        0xc065c36ad2f7c54e,
+    ),
+];
+
+/// FNV-1a of a DFA: its initial state, every `(state, symbol) → next` in
+/// state-then-symbol order, and its accepting states.
+fn dfa_listing_hash(d: &Dfa) -> u64 {
+    let mut listing = format!("initial {:?}\n", d.initial());
+    for i in 0..d.num_states() {
+        let q = StateId::from_index(i);
+        for e in 0..d.alphabet_len() {
+            let next = d.next(q, qa_base::Symbol::from_index(e));
+            let _ = writeln!(listing, "{q:?} {e} -> {next:?}");
+        }
+    }
+    for i in 0..d.num_states() {
+        let q = StateId::from_index(i);
+        if d.is_accepting(q) {
+            let _ = writeln!(listing, "accepting {q:?}");
+        }
+    }
+    qa_obs::fnv1a64(listing.as_bytes())
+}
+
+#[test]
+fn string_formulas_compile_to_the_pinned_automata() {
+    let mut actual = String::new();
+    let mut mismatches = 0;
+    for (src, states, hash) in STRING {
+        let mut alphabet = Alphabet::from_names(["0", "1"]);
+        let f = parse(src, &mut alphabet).unwrap();
+        let d = match f.free_vars().first() {
+            None => compile_string::compile_sentence(&f, 2),
+            Some(var) => compile_string::compile_unary(&f, var, 2),
+        }
+        .unwrap();
+        let got = (d.num_states(), dfa_listing_hash(&d));
+        let _ = writeln!(actual, "    ({src:?}, {}, {:#018x}),", got.0, got.1);
+        mismatches += usize::from(got != (states, hash));
+    }
+    assert_eq!(mismatches, 0, "compiled DFAs changed; now:\n{actual}");
 }

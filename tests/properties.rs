@@ -5,7 +5,7 @@
 use query_automata::base::rng::{Rng, StdRng};
 use query_automata::mso::{compile_ranked, compile_string, naive, query_eval, unranked};
 use query_automata::prelude::*;
-use query_automata::strings::{ops, Regex};
+use query_automata::strings::{ops, Regex, StateId};
 use query_automata::trees::generate;
 use query_automata::twoway::{behavior::BehaviorAnalysis, crossing, shepherdson};
 
@@ -340,6 +340,68 @@ fn random_formulas_agree_with_naive_on_figures_5_and_6() {
             }
         }
     }
+}
+
+/// Append a DFA's state count, initial state, every `(state, symbol) →
+/// next` and its accepting states to `out`.
+fn dfa_listing(out: &mut String, d: &query_automata::strings::Dfa) {
+    use std::fmt::Write;
+    let _ = writeln!(out, "{} states, initial {:?}", d.num_states(), d.initial());
+    for i in 0..d.num_states() {
+        let q = StateId::from_index(i);
+        for e in 0..d.alphabet_len() {
+            let _ = writeln!(out, "{q:?} {e} -> {:?}", d.next(q, sym(e)));
+        }
+        if d.is_accepting(q) {
+            let _ = writeln!(out, "accepting {q:?}");
+        }
+    }
+}
+
+/// Append a DBTA's state count, `transitions()` listing and final states
+/// to `out`.
+fn dbta_listing(out: &mut String, d: &Dbta) {
+    use std::fmt::Write;
+    let _ = writeln!(out, "{} states", d.num_states());
+    for (children, label, q) in d.transitions() {
+        let _ = writeln!(out, "{children:?} {} -> {q:?}", label.index());
+    }
+    for i in 0..d.num_states() {
+        let q = StateId::from_index(i);
+        if d.is_final(q) {
+            let _ = writeln!(out, "final {q:?}");
+        }
+    }
+}
+
+/// The 16 generated formulas of the test above compile, as string, rank-2
+/// and unranked unary queries, to the pinned automata: one FNV-1a per
+/// family over all 16 listings.
+#[test]
+fn generated_formulas_compile_to_the_pinned_automata() {
+    const PINNED: [(&str, u64); 3] = [
+        ("string", 0x645799883fd62581),
+        ("rank 2", 0xe885be867a03ea28),
+        ("unranked", 0x86125f12231b14b4),
+    ];
+    let mut listings = [String::new(), String::new(), String::new()];
+    for seed in 0..16 {
+        let mut alphabet = Alphabet::from_names(["0", "1"]);
+        let src = FormulaGen::new(seed).formula(4, 1);
+        let phi = parse_mso(&src, &mut alphabet).unwrap();
+        let string = compile_string::compile_unary(&phi, "v", 2).unwrap();
+        dfa_listing(&mut listings[0], &string);
+        let ranked = compile_ranked::compile_unary(&phi, "v", 2, 2).unwrap();
+        dbta_listing(&mut listings[1], &ranked);
+        let unranked = unranked::compile_unary(&phi, "v", 2).unwrap();
+        dbta_listing(&mut listings[2], &unranked);
+    }
+    let got: Vec<(&str, u64)> = PINNED
+        .iter()
+        .zip(&listings)
+        .map(|(&(family, _), listing)| (family, query_automata::obs::fnv1a64(listing.as_bytes())))
+        .collect();
+    assert_eq!(got, PINNED, "compiled automata changed; now: {got:#x?}");
 }
 
 /// Unranked run confluence: random schedules select the same nodes.
