@@ -1,20 +1,19 @@
 //! Doner/Thatcher–Wright (Theorem 2.8), constructive: MSO over ranked trees
 //! compiles to bottom-up tree automata.
 //!
-//! Same discipline as [`crate::compile_string`]: formulas compile over the
-//! bit-extended alphabet `Σ × {0,1}ᵏ`, every intermediate automaton accepts
-//! only valid encodings (each first-order bit exactly once in the tree),
-//! negation is difference against validity, quantification projects the top
-//! bit, and the deterministic automaton is trimmed/minimized after every
-//! step.
+//! The compiler is [`crate::compile`]'s, over DBTAs: a local rule reads the
+//! children's states. This module adds the marking of trees and the tree
+//! navigation atoms: `edge`, sibling `<`, and the encoding atoms
+//! `first_child`/`second_child`/`chain2` that [`crate::unranked`]
+//! translates to.
 
-use qa_base::{Error, Result, Symbol};
+use qa_base::{Result, Symbol};
 use qa_core::ranked::{ops, Dbta, Nbta, Tuples};
 use qa_strings::StateId;
 use qa_trees::Tree;
 
-use crate::ast::{Formula, Var};
-use crate::compile_string::{base_symbol, ext_alphabet_len, ext_mask, ext_symbol};
+use crate::ast::Formula;
+use crate::compile::{self, base_symbol, bit, ext_alphabet_len, ext_mask, ext_symbol, Ctx, Family};
 
 /// Encode a tree with one marked node over `Σ × {0,1}`.
 pub fn mark_tree(tree: &Tree, node: qa_trees::NodeId, sigma: usize) -> Tree {
@@ -26,402 +25,162 @@ pub fn mark_tree(tree: &Tree, node: qa_trees::NodeId, sigma: usize) -> Tree {
     t
 }
 
-#[derive(Clone, Debug, Default)]
-struct Ctx {
-    vars: Vec<(Var, bool)>,
-}
-
-impl Ctx {
-    fn bit_of(&self, v: &Var) -> Option<(usize, bool)> {
-        self.vars
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, (name, _))| name == v)
-            .map(|(i, (_, is_set))| (i, *is_set))
-    }
-    fn len(&self) -> usize {
-        self.vars.len()
-    }
-}
-
-fn bit(mask: usize, b: usize) -> bool {
-    (mask >> b) & 1 == 1
-}
-
-/// Build a deterministic bottom-up automaton from a *local rule*: the state
-/// at a node is `step(children states, base symbol, mask)`; `None` = dead.
-/// States are dense `0..num_states`; `finals` marks accepting root states.
-/// A dead sink is added automatically.
-fn local_dbta(
+/// Trees of rank at most `rank` over a base alphabet of `sigma` symbols.
+struct Ranked {
     sigma: usize,
-    k: usize,
-    m: usize,
-    num_states: usize,
-    finals: &[usize],
-    step: impl Fn(&[usize], Symbol, usize) -> Option<usize>,
-) -> Dbta {
-    let ext = ext_alphabet_len(sigma, k);
-    let mut d = Dbta::new(ext, m);
-    for _ in 0..num_states {
-        d.add_state();
-    }
-    let dead = d.add_state();
-    for &f in finals {
-        d.set_final(StateId::from_index(f), true);
-    }
-    // enumerate all tuples of states (incl. dead) up to rank m
-    let mut ids: Vec<StateId> = Vec::new();
-    for e_idx in 0..ext {
-        let e = Symbol::from_index(e_idx);
-        let base = base_symbol(e, sigma);
-        let mask = ext_mask(e, sigma);
-        for arity in 0..=m {
-            let mut tuples = Tuples::<usize>::new(arity, num_states + 1);
-            while let Some(tuple) = tuples.next_tuple() {
-                let target = if tuple.contains(&num_states) {
-                    dead
-                } else {
-                    match step(tuple, base, mask) {
-                        Some(q) => {
-                            debug_assert!(q < num_states);
-                            StateId::from_index(q)
-                        }
-                        None => dead,
-                    }
-                };
-                ids.clear();
-                ids.extend(tuple.iter().map(|&i| StateId::from_index(i)));
-                d.set_transition(&ids, e, target);
-            }
-        }
-    }
-    d
+    rank: usize,
 }
 
-/// Validity: each first-order bit occurs exactly once in the tree.
-fn valid_dbta(sigma: usize, m: usize, ctx: &Ctx) -> Dbta {
-    let fo_bits: Vec<usize> = ctx
-        .vars
-        .iter()
-        .enumerate()
-        .filter(|(_, (_, is_set))| !is_set)
-        .map(|(i, _)| i)
-        .collect();
-    let nfo = fo_bits.len();
-    // state = subset of fo vars seen in the subtree
-    let num = 1usize << nfo;
-    local_dbta(sigma, ctx.len(), m, num, &[num - 1], |kids, _base, mask| {
-        let mut seen = 0usize;
-        for &c in kids {
-            if c & seen != 0 {
-                return None;
-            }
-            seen |= c;
-        }
-        let mut own = 0usize;
-        for (j, &b) in fo_bits.iter().enumerate() {
-            if bit(mask, b) {
-                own |= 1 << j;
-            }
-        }
-        if own & seen != 0 {
-            return None;
-        }
-        Some(seen | own)
-    })
-}
+impl Family for Ranked {
+    type Automaton = Dbta;
 
-fn compile_inner(f: &Formula, sigma: usize, m: usize, ctx: &Ctx) -> Result<Dbta> {
-    let valid = || valid_dbta(sigma, m, ctx);
-    let k = ctx.len();
-    let fo_bit = |v: &Var| -> Result<usize> {
-        match ctx.bit_of(v) {
-            Some((b, false)) => Ok(b),
-            Some((_, true)) => Err(Error::domain(format!(
-                "variable `{v}` used first-order but bound as a set"
-            ))),
-            None => Err(Error::domain(format!("unbound variable `{v}`"))),
+    fn local(
+        &self,
+        k: usize,
+        n: usize,
+        finals: &[usize],
+        step: impl Fn(&[usize], Symbol, usize) -> Option<usize>,
+    ) -> Dbta {
+        let mut d = Dbta::new(ext_alphabet_len(self.sigma, k), self.rank);
+        for _ in 0..n {
+            d.add_state();
         }
-    };
-    let set_bit = |v: &Var| -> Result<usize> {
-        match ctx.bit_of(v) {
-            Some((b, true)) => Ok(b),
-            Some((_, false)) => Err(Error::domain(format!(
-                "variable `{v}` used as a set but bound first-order"
-            ))),
-            None => Err(Error::domain(format!("unbound set variable `{v}`"))),
+        let dead = d.add_state();
+        for &f in finals {
+            d.set_final(StateId::from_index(f), true);
         }
-    };
-    // simple per-node condition automaton: 1 state, rule must hold at every
-    // node.
-    let per_node = |ok: Box<dyn Fn(Symbol, usize) -> bool>| -> Dbta {
-        local_dbta(sigma, k, m, 1, &[0], move |_kids, base, mask| {
-            if ok(base, mask) {
-                Some(0)
-            } else {
-                None
+        // enumerate all tuples of states (incl. dead) up to the rank
+        let mut ids: Vec<StateId> = Vec::new();
+        for e_idx in 0..d.alphabet_len() {
+            let e = Symbol::from_index(e_idx);
+            let (base, mask) = (base_symbol(e, self.sigma), ext_mask(e, self.sigma));
+            for arity in 0..=self.rank {
+                let mut tuples = Tuples::<usize>::new(arity, n + 1);
+                while let Some(tuple) = tuples.next_tuple() {
+                    let target = match tuple.contains(&n) {
+                        true => None,
+                        false => step(tuple, base, mask),
+                    };
+                    debug_assert!(target.is_none_or(|q| q < n));
+                    ids.clear();
+                    ids.extend(tuple.iter().map(|&i| StateId::from_index(i)));
+                    d.set_transition(&ids, e, target.map_or(dead, StateId::from_index));
+                }
             }
-        })
-    };
-    let out = match f {
-        Formula::True => valid(),
-        Formula::False => Dbta::new(ext_alphabet_len(sigma, k), m),
-        Formula::Label(x, a) => {
-            let b = fo_bit(x)?;
-            let a = *a;
-            ops::intersect(
-                &per_node(Box::new(move |base, mask| !bit(mask, b) || base == a)),
-                &valid(),
-            )
         }
-        Formula::Eq(x, y) => {
-            let bx = fo_bit(x)?;
-            let by = fo_bit(y)?;
-            ops::intersect(
-                &per_node(Box::new(move |_, mask| bit(mask, bx) == bit(mask, by))),
-                &valid(),
-            )
+        d
+    }
+
+    fn intersect(&self, a: &Dbta, b: &Dbta) -> Dbta {
+        ops::intersect(a, b)
+    }
+
+    fn union(&self, a: &Dbta, b: &Dbta) -> Dbta {
+        ops::union(a, b)
+    }
+
+    fn difference(&self, a: &Dbta, b: &Dbta) -> Dbta {
+        ops::difference(a, b)
+    }
+
+    fn minimize(&self, a: &Dbta) -> Dbta {
+        ops::minimize(a)
+    }
+
+    fn project_top_bit(&self, d: &Dbta, k_with: usize) -> Dbta {
+        let sigma = self.sigma;
+        let top = 1usize << (k_with - 1);
+        let mut n = Nbta::new(ext_alphabet_len(sigma, k_with - 1), d.max_rank());
+        for _ in 0..d.num_states() {
+            let s = n.add_state();
+            n.set_final(s, d.is_final(s));
         }
-        Formula::In(x, s) => {
-            let bx = fo_bit(x)?;
-            let bs = set_bit(s)?;
-            ops::intersect(
-                &per_node(Box::new(move |_, mask| !bit(mask, bx) || bit(mask, bs))),
-                &valid(),
-            )
+        for (children, e, q) in d.transitions() {
+            let low = ext_mask(e, sigma) & !top;
+            n.add_transition(children, ext_symbol(base_symbol(e, sigma), low, sigma), q);
         }
-        Formula::Edge(x, y) => {
-            // E(x, y): the y-bit node's parent carries the x-bit.
-            // states: 0 plain, 1 "y was this node" (must be consumed by the
+        ops::minimize(&ops::determinize(&n))
+    }
+
+    fn navigation(&self, atom: &Formula, ctx: &Ctx) -> Result<Dbta> {
+        let (x, y) = match atom {
+            Formula::Edge(x, y)
+            | Formula::Less(x, y)
+            | Formula::FirstChild(x, y)
+            | Formula::SecondChild(x, y)
+            | Formula::Chain2(x, y) => (x, y),
+            _ => unreachable!("{atom:?} is not a navigation atom"),
+        };
+        let bx = ctx.fo_bit(x)?;
+        let by = ctx.fo_bit(y)?;
+        let at = |mask| (bit(mask, bx), bit(mask, by));
+        // the first child in state `q`, if any
+        let first = |kids: &[usize], q| kids.iter().position(|&c| c == q);
+        // `sat` if some child is in `sat`, else `plain`
+        let carry =
+            |kids: &[usize], sat, plain| Some(if kids.contains(&sat) { sat } else { plain });
+        let k = ctx.len();
+        Ok(match atom {
+            // E(x, y): the y-bit node's parent carries the x-bit. States:
+            // 0 plain, 1 "y was this node" (must be consumed by the
             // immediate parent), 2 satisfied.
-            let bx = fo_bit(x)?;
-            let by = fo_bit(y)?;
-            let cond = local_dbta(sigma, k, m, 3, &[0, 2], move |kids, _base, mask| {
-                let yjust = kids.iter().filter(|&&c| c == 1).count();
-                let sat = kids.contains(&2);
-                let (hx, hy) = (bit(mask, bx), bit(mask, by));
-                if hy {
-                    // y here: its parent must carry x; y cannot also consume
-                    // a pending y below (validity kills duplicates anyway).
-                    if yjust > 0 {
-                        return None;
-                    }
-                    return Some(1);
+            Formula::Edge(_, _) => self.local(k, 3, &[0, 2], |kids, _, mask| {
+                let pending = kids.iter().filter(|&&c| c == 1).count();
+                match (pending, at(mask)) {
+                    (0, (_, true)) => Some(1),
+                    (1, (true, false)) => Some(2),
+                    (0, (_, false)) => carry(kids, 2, 0),
+                    _ => None, // a y not consumed by its parent, or two ys
                 }
-                if yjust > 1 {
-                    return None;
-                }
-                if yjust == 1 {
-                    if hx {
-                        return Some(2);
-                    }
-                    return None;
-                }
-                if sat {
-                    return Some(2);
-                }
-                Some(0)
-            });
-            ops::intersect(&cond, &valid())
-        }
-        Formula::Less(x, y) => {
+            }),
             // sibling order: x-bit node and y-bit node share a parent, x
-            // strictly earlier.
-            // states: 0 plain, 1 "x was this node", 2 "y was this node",
-            // 3 satisfied.
-            let bx = fo_bit(x)?;
-            let by = fo_bit(y)?;
-            let cond = local_dbta(sigma, k, m, 4, &[3], move |kids, _base, mask| {
-                let sat_below = kids.contains(&3);
-                let xpos = kids.iter().position(|&c| c == 1);
-                let ypos = kids.iter().position(|&c| c == 2);
-                let (hx, hy) = (bit(mask, bx), bit(mask, by));
-                if hx && hy {
-                    return None; // same node: not strictly ordered
+            // strictly earlier. States: 0 plain, 1 "x was this node", 2 "y
+            // was this node", 3 satisfied.
+            Formula::Less(_, _) => self.local(k, 4, &[3], |kids, _, mask| {
+                match (first(kids, 1), first(kids, 2), at(mask)) {
+                    (Some(i), Some(j), (false, false)) if i < j && !kids.contains(&3) => Some(3),
+                    (None, None, (true, false)) => Some(1),
+                    (None, None, (false, true)) => Some(2),
+                    (None, None, (false, false)) => carry(kids, 3, 0),
+                    _ => None, // same node, wrong order, or unmatched
                 }
-                match (xpos, ypos) {
-                    (Some(i), Some(j)) => {
-                        if i < j && !hx && !hy && !sat_below {
-                            Some(3)
-                        } else {
-                            None
-                        }
+            }),
+            // y is x's child at a fixed index. States: 0 plain, 1 "y was
+            // this node", 2 satisfied.
+            Formula::FirstChild(_, _) | Formula::SecondChild(_, _) => {
+                let want = usize::from(matches!(atom, Formula::SecondChild(_, _)));
+                self.local(k, 3, &[0, 2], move |kids, _, mask| {
+                    match (first(kids, 1), at(mask)) {
+                        (None, (false, true)) => Some(1),
+                        (Some(i), (true, false)) if i == want => Some(2),
+                        (None, (false, false)) => carry(kids, 2, 0),
+                        _ => None, // same node, y elsewhere, or x without y
                     }
-                    (Some(_), None) | (None, Some(_)) => None, // unmatched
-                    (None, None) => {
-                        if hx {
-                            Some(1)
-                        } else if hy {
-                            Some(2)
-                        } else if sat_below {
-                            Some(3)
-                        } else {
-                            Some(0)
-                        }
-                    }
+                })
+            }
+            // y reachable from x via 0+ second-child steps. States: 0
+            // plain, 1 pending chain (y at/below via second-child links, x
+            // not yet met), 2 satisfied.
+            _ => self.local(k, 3, &[2], |kids, _, mask| {
+                match (first(kids, 1), at(mask)) {
+                    (None, (hx, true)) | (Some(1), (hx, false)) => Some(if hx { 2 } else { 1 }),
+                    (None, (false, false)) => carry(kids, 2, 0),
+                    _ => None, // duplicate y, a broken chain, or x off the chain
                 }
-            });
-            ops::intersect(&cond, &valid())
-        }
-        Formula::FirstChild(x, y) | Formula::SecondChild(x, y) => {
-            // y is x's child at a fixed index.
-            let want = usize::from(matches!(f, Formula::SecondChild(_, _)));
-            let bx = fo_bit(x)?;
-            let by = fo_bit(y)?;
-            // states: 0 plain, 1 "y was this node", 2 satisfied.
-            let cond = local_dbta(sigma, k, m, 3, &[0, 2], move |kids, _base, mask| {
-                let ypos = kids.iter().position(|&c| c == 1);
-                let sat = kids.contains(&2);
-                let (hx, hy) = (bit(mask, bx), bit(mask, by));
-                if hy {
-                    if hx || ypos.is_some() {
-                        return None; // same node / duplicate y
-                    }
-                    return Some(1);
-                }
-                match ypos {
-                    Some(i) => {
-                        if i == want && hx {
-                            Some(2)
-                        } else {
-                            None
-                        }
-                    }
-                    None => {
-                        if hx {
-                            None // x here but y is not its index-`want` child
-                        } else if sat {
-                            Some(2)
-                        } else {
-                            Some(0)
-                        }
-                    }
-                }
-            });
-            ops::intersect(&cond, &valid())
-        }
-        Formula::Chain2(x, y) => {
-            // y reachable from x via 0+ second-child steps.
-            let bx = fo_bit(x)?;
-            let by = fo_bit(y)?;
-            // states: 0 plain, 1 pending chain (y at/below via second-child
-            // links, x not yet met), 2 satisfied.
-            let cond = local_dbta(sigma, k, m, 3, &[2], move |kids, _base, mask| {
-                let pending = kids.iter().position(|&c| c == 1);
-                let sat = kids.contains(&2);
-                let (hx, hy) = (bit(mask, bx), bit(mask, by));
-                if hy {
-                    if pending.is_some() {
-                        return None; // duplicate y
-                    }
-                    return if hx { Some(2) } else { Some(1) };
-                }
-                match pending {
-                    Some(i) => {
-                        if i != 1 {
-                            return None; // chain broken by a non-second edge
-                        }
-                        if hx {
-                            Some(2)
-                        } else {
-                            Some(1)
-                        }
-                    }
-                    None => {
-                        if hx {
-                            None // x off the chain
-                        } else if sat {
-                            Some(2)
-                        } else {
-                            Some(0)
-                        }
-                    }
-                }
-            });
-            ops::intersect(&cond, &valid())
-        }
-        Formula::Not(p) => {
-            let a = compile_inner(p, sigma, m, ctx)?;
-            ops::difference(&valid(), &a)
-        }
-        Formula::And(p, q) => {
-            let a = compile_inner(p, sigma, m, ctx)?;
-            let b = compile_inner(q, sigma, m, ctx)?;
-            ops::intersect(&a, &b)
-        }
-        Formula::Or(p, q) => {
-            let a = compile_inner(p, sigma, m, ctx)?;
-            let b = compile_inner(q, sigma, m, ctx)?;
-            ops::union(&a, &b)
-        }
-        Formula::Exists(v, p) => {
-            let mut ctx2 = ctx.clone();
-            ctx2.vars.push((v.clone(), false));
-            let a = compile_inner(p, sigma, m, &ctx2)?;
-            project_top_bit(&a, sigma, ctx2.len())
-        }
-        Formula::ExistsSet(v, p) => {
-            let mut ctx2 = ctx.clone();
-            ctx2.vars.push((v.clone(), true));
-            let a = compile_inner(p, sigma, m, &ctx2)?;
-            project_top_bit(&a, sigma, ctx2.len())
-        }
-        Formula::Forall(v, p) => {
-            let inner = Formula::Exists(v.clone(), Box::new(Formula::Not(p.clone())));
-            let a = compile_inner(&inner, sigma, m, ctx)?;
-            ops::difference(&valid(), &a)
-        }
-        Formula::ForallSet(v, p) => {
-            let inner = Formula::ExistsSet(v.clone(), Box::new(Formula::Not(p.clone())));
-            let a = compile_inner(&inner, sigma, m, ctx)?;
-            ops::difference(&valid(), &a)
-        }
-    };
-    Ok(ops::minimize(&out))
-}
-
-/// Project away the top variable bit (NBTA relabeling, then determinize and
-/// minimize).
-fn project_top_bit(d: &Dbta, sigma: usize, k_with: usize) -> Dbta {
-    let top = 1usize << (k_with - 1);
-    let mut n = Nbta::new(ext_alphabet_len(sigma, k_with - 1), d.max_rank());
-    for _ in 0..d.num_states() {
-        let s = n.add_state();
-        n.set_final(s, d.is_final(s));
+            }),
+        })
     }
-    for (children, e, q) in d.transitions() {
-        let mask = ext_mask(e, sigma);
-        let proj = ext_symbol(base_symbol(e, sigma), mask & !top, sigma);
-        n.add_transition(children, proj, q);
-    }
-    ops::minimize(&ops::determinize(&n))
 }
 
 /// Compile a sentence over ranked trees (rank ≤ `m`) to a minimized DBTAʳ.
 pub fn compile_sentence(f: &Formula, sigma: usize, m: usize) -> Result<Dbta> {
-    let free = f.free_vars();
-    if !free.is_empty() {
-        return Err(Error::domain(format!(
-            "sentence expected, found free variables {free:?}"
-        )));
-    }
-    compile_inner(f, sigma, m, &Ctx::default())
+    compile::compile_sentence(&Ranked { sigma, rank: m }, f)
 }
 
 /// Compile a unary query `φ(x)` to a minimized DBTAʳ over `Σ × {0,1}`;
 /// feed it trees produced by [`mark_tree`].
 pub fn compile_unary(f: &Formula, var: &str, sigma: usize, m: usize) -> Result<Dbta> {
-    let free = f.free_vars();
-    if free.iter().any(|v| v != var) {
-        return Err(Error::domain(format!(
-            "unary query over `{var}` expected, found free variables {free:?}"
-        )));
-    }
-    let ctx = Ctx {
-        vars: vec![(var.to_string(), false)],
-    };
-    compile_inner(f, sigma, m, &ctx)
+    compile::compile_unary(&Ranked { sigma, rank: m }, f, var)
 }
 
 #[cfg(test)]

@@ -1,43 +1,15 @@
 //! Büchi's theorem, constructive direction (Theorem 2.5): MSO over strings
 //! compiles to finite automata.
 //!
-//! Formulas with free variables are compiled over the *bit-extended*
-//! alphabet `Σ × {0,1}ᵏ`: bit `j` encodes membership of the position in
-//! variable `j` of the compilation context (innermost quantifier = highest
-//! bit, so quantification = projecting the top bit away). Every
-//! intermediate automaton accepts only *valid* encodings — each first-order
-//! variable's bit set at exactly one position — which makes negation a
-//! difference against the validity language. The DFA is minimized after
-//! every operation.
+//! The compiler is [`crate::compile`]'s, over DFAs: a local rule reads the
+//! previous position's state. This module adds the marking of words and
+//! the string navigation atoms, successor and `<`.
 
 use qa_base::{Error, Result, Symbol};
 use qa_strings::{Dfa, Nfa, StateId};
 
-use crate::ast::{Formula, Var};
-
-/// Size of the extended alphabet for `k` variables over `sigma` symbols.
-#[inline]
-pub fn ext_alphabet_len(sigma: usize, k: usize) -> usize {
-    sigma << k
-}
-
-/// The extended symbol for base symbol `sym` and variable bitmask `mask`.
-#[inline]
-pub fn ext_symbol(sym: Symbol, mask: usize, sigma: usize) -> Symbol {
-    Symbol::from_index(sym.index() + sigma * mask)
-}
-
-/// Base symbol of an extended symbol.
-#[inline]
-pub fn base_symbol(e: Symbol, sigma: usize) -> Symbol {
-    Symbol::from_index(e.index() % sigma)
-}
-
-/// Variable bitmask of an extended symbol.
-#[inline]
-pub fn ext_mask(e: Symbol, sigma: usize) -> usize {
-    e.index() / sigma
-}
+use crate::ast::Formula;
+use crate::compile::{self, base_symbol, bit, ext_alphabet_len, ext_mask, ext_symbol, Ctx, Family};
 
 /// Encode a word with one marked position over `Σ × {0,1}` — the input
 /// format of unary-query automata ([`compile_unary`]).
@@ -48,320 +20,127 @@ pub fn mark_word(word: &[Symbol], pos: usize, sigma: usize) -> Vec<Symbol> {
         .collect()
 }
 
-/// A compilation context: the in-scope variables, outermost first.
-#[derive(Clone, Debug, Default)]
-struct Ctx {
-    /// `(name, is_set)`; bit `j` of the mask corresponds to entry `j`.
-    vars: Vec<(Var, bool)>,
+/// Strings over a base alphabet of `sigma` symbols.
+struct Strings {
+    sigma: usize,
 }
 
-impl Ctx {
-    fn bit_of(&self, v: &Var) -> Option<(usize, bool)> {
-        self.vars
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, (name, _))| name == v)
-            .map(|(i, (_, is_set))| (i, *is_set))
-    }
+impl Family for Strings {
+    type Automaton = Dfa;
 
-    fn len(&self) -> usize {
-        self.vars.len()
-    }
-}
-
-/// The validity DFA: every first-order bit set at exactly one position.
-fn valid_dfa(sigma: usize, ctx: &Ctx) -> Dfa {
-    let k = ctx.len();
-    let fo_bits: Vec<usize> = ctx
-        .vars
-        .iter()
-        .enumerate()
-        .filter(|(_, (_, is_set))| !is_set)
-        .map(|(i, _)| i)
-        .collect();
-    let ext = ext_alphabet_len(sigma, k);
-    let mut d = Dfa::new(ext);
-    // states: subsets of fo_bits seen, plus a dead state.
-    let nfo = fo_bits.len();
-    let states: Vec<StateId> = (0..(1usize << nfo)).map(|_| d.add_state()).collect();
-    let dead = d.add_state();
-    d.set_initial(states[0]);
-    d.set_accepting(states[(1 << nfo) - 1], true);
-    for e_idx in 0..ext {
-        let e = Symbol::from_index(e_idx);
-        let mask = ext_mask(e, sigma);
-        // which fo bits does this symbol set?
-        let mut setbits = 0usize;
-        for (j, &bit) in fo_bits.iter().enumerate() {
-            if (mask >> bit) & 1 == 1 {
-                setbits |= 1 << j;
-            }
+    fn local(
+        &self,
+        k: usize,
+        n: usize,
+        finals: &[usize],
+        step: impl Fn(&[usize], Symbol, usize) -> Option<usize>,
+    ) -> Dfa {
+        let mut d = Dfa::new(ext_alphabet_len(self.sigma, k));
+        for _ in 0..=n {
+            d.add_state();
         }
-        for (seen, &st) in states.iter().enumerate() {
-            if seen & setbits != 0 {
-                d.set_transition(st, e, dead);
-            } else {
-                d.set_transition(st, e, states[seen | setbits]);
-            }
+        let dead = StateId::from_index(n);
+        d.set_initial(StateId::from_index(0));
+        for &f in finals {
+            d.set_accepting(StateId::from_index(f), true);
         }
-        d.set_transition(dead, e, dead);
-    }
-    d
-}
-
-/// A *condition* DFA accepting extended words that satisfy a per-position /
-/// local predicate, built from a tiny hand-rolled automaton. Used by the
-/// atoms; always intersected with validity by the caller.
-fn per_position_dfa(sigma: usize, k: usize, ok: impl Fn(Symbol, usize) -> bool) -> Dfa {
-    let ext = ext_alphabet_len(sigma, k);
-    let mut d = Dfa::new(ext);
-    let good = d.add_state();
-    let dead = d.add_state();
-    d.set_initial(good);
-    d.set_accepting(good, true);
-    for e_idx in 0..ext {
-        let e = Symbol::from_index(e_idx);
-        let target = if ok(base_symbol(e, sigma), ext_mask(e, sigma)) {
-            good
-        } else {
-            dead
-        };
-        d.set_transition(good, e, target);
-        d.set_transition(dead, e, dead);
-    }
-    d
-}
-
-fn bit(mask: usize, b: usize) -> bool {
-    (mask >> b) & 1 == 1
-}
-
-fn compile_inner(f: &Formula, sigma: usize, ctx: &Ctx) -> Result<Dfa> {
-    let valid = || valid_dfa(sigma, ctx);
-    let k = ctx.len();
-    let fo_bit = |v: &Var| -> Result<usize> {
-        match ctx.bit_of(v) {
-            Some((b, false)) => Ok(b),
-            Some((_, true)) => Err(Error::domain(format!(
-                "variable `{v}` used as first-order but bound as a set"
-            ))),
-            None => Err(Error::domain(format!("unbound variable `{v}`"))),
-        }
-    };
-    let set_bit = |v: &Var| -> Result<usize> {
-        match ctx.bit_of(v) {
-            Some((b, true)) => Ok(b),
-            Some((_, false)) => Err(Error::domain(format!(
-                "variable `{v}` used as a set but bound first-order"
-            ))),
-            None => Err(Error::domain(format!("unbound set variable `{v}`"))),
-        }
-    };
-    let out = match f {
-        Formula::True => valid(),
-        Formula::False => {
-            let mut d = Dfa::new(ext_alphabet_len(sigma, k));
-            let q = d.add_state();
-            d.set_initial(q);
-            for e in 0..d.alphabet_len() {
-                d.set_transition(q, Symbol::from_index(e), q);
-            }
-            d
-        }
-        Formula::Label(x, a) => {
-            let b = fo_bit(x)?;
-            per_position_dfa(sigma, k, |sym, mask| !bit(mask, b) || sym == *a).intersect(&valid())
-        }
-        Formula::Eq(x, y) => {
-            let bx = fo_bit(x)?;
-            let by = fo_bit(y)?;
-            per_position_dfa(sigma, k, |_, mask| bit(mask, bx) == bit(mask, by)).intersect(&valid())
-        }
-        Formula::In(x, s) => {
-            let bx = fo_bit(x)?;
-            let bs = set_bit(s)?;
-            per_position_dfa(sigma, k, |_, mask| !bit(mask, bx) || bit(mask, bs))
-                .intersect(&valid())
-        }
-        Formula::Edge(x, y) => {
-            // y = x + 1: after the x-bit position, the very next position
-            // carries the y-bit; x-bit must not sit at the last position;
-            // a y-bit with no preceding x-bit is ruled out by validity plus
-            // the "whenever x then next is y" and "whenever y then prev is
-            // x" conditions — encode both directions explicitly.
-            let bx = fo_bit(x)?;
-            let by = fo_bit(y)?;
-            let ext = ext_alphabet_len(sigma, k);
-            let mut d = Dfa::new(ext);
-            let plain = d.add_state(); // last position had no x-bit
-            let afterx = d.add_state(); // last position had the x-bit
-            let dead = d.add_state();
-            d.set_initial(plain);
-            d.set_accepting(plain, true);
-            for e_idx in 0..ext {
-                let e = Symbol::from_index(e_idx);
-                let m = ext_mask(e, sigma);
-                let (hx, hy) = (bit(m, bx), bit(m, by));
-                // from `plain`: a y-bit here has no x before it → dead
-                d.set_transition(
-                    plain,
-                    e,
-                    match (hx, hy) {
-                        (_, true) => dead,
-                        (true, false) => afterx,
-                        (false, false) => plain,
-                    },
-                );
-                // from `afterx`: this position must carry the y-bit
-                d.set_transition(
-                    afterx,
-                    e,
-                    match (hx, hy) {
-                        (false, true) => plain,
-                        // x twice is invalid anyway; y missing → dead
-                        _ => dead,
-                    },
-                );
-                d.set_transition(dead, e, dead);
-            }
-            d.intersect(&valid())
-        }
-        Formula::Less(x, y) => {
-            let bx = fo_bit(x)?;
-            let by = fo_bit(y)?;
-            let ext = ext_alphabet_len(sigma, k);
-            let mut d = Dfa::new(ext);
-            let before = d.add_state(); // x not yet seen
-            let between = d.add_state(); // x seen, y not yet
-            let done = d.add_state(); // both seen in order
-            let dead = d.add_state();
-            d.set_initial(before);
-            d.set_accepting(done, true);
-            for e_idx in 0..ext {
-                let e = Symbol::from_index(e_idx);
-                let m = ext_mask(e, sigma);
-                let (hx, hy) = (bit(m, bx), bit(m, by));
-                d.set_transition(
-                    before,
-                    e,
-                    match (hx, hy) {
-                        (true, false) => between,
-                        (false, false) => before,
-                        _ => dead, // y first, or same position
-                    },
-                );
-                d.set_transition(
-                    between,
-                    e,
-                    match (hx, hy) {
-                        (false, true) => done,
-                        (false, false) => between,
-                        _ => dead,
-                    },
-                );
-                d.set_transition(done, e, if hx || hy { dead } else { done });
-                d.set_transition(dead, e, dead);
-            }
-            d.intersect(&valid())
-        }
-        Formula::FirstChild(_, _) | Formula::SecondChild(_, _) | Formula::Chain2(_, _) => {
-            return Err(Error::domain(
-                "first_child/second_child/chain2 are tree atoms; strings have edge/<",
-            ))
-        }
-        Formula::Not(p) => {
-            let a = compile_inner(p, sigma, ctx)?;
-            valid().difference(&a)
-        }
-        Formula::And(p, q) => {
-            let a = compile_inner(p, sigma, ctx)?;
-            let b = compile_inner(q, sigma, ctx)?;
-            a.intersect(&b)
-        }
-        Formula::Or(p, q) => {
-            let a = compile_inner(p, sigma, ctx)?;
-            let b = compile_inner(q, sigma, ctx)?;
-            a.union(&b)
-        }
-        Formula::Exists(v, p) => {
-            let mut ctx2 = ctx.clone();
-            ctx2.vars.push((v.clone(), false));
-            let a = compile_inner(p, sigma, &ctx2)?;
-            project_top_bit(&a, sigma, ctx2.len())
-        }
-        Formula::ExistsSet(v, p) => {
-            let mut ctx2 = ctx.clone();
-            ctx2.vars.push((v.clone(), true));
-            let a = compile_inner(p, sigma, &ctx2)?;
-            project_top_bit(&a, sigma, ctx2.len())
-        }
-        Formula::Forall(v, p) => {
-            let inner = Formula::Exists(v.clone(), Box::new(Formula::Not(p.clone())));
-            let a = compile_inner(&inner, sigma, ctx)?;
-            valid().difference(&a)
-        }
-        Formula::ForallSet(v, p) => {
-            let inner = Formula::ExistsSet(v.clone(), Box::new(Formula::Not(p.clone())));
-            let a = compile_inner(&inner, sigma, ctx)?;
-            valid().difference(&a)
-        }
-    };
-    Ok(out.minimize())
-}
-
-/// Project away the top (most recently pushed) variable bit: each extended
-/// symbol maps to its counterpart with the bit cleared, nondeterministically
-/// merging the two variants, then determinize + minimize.
-fn project_top_bit(d: &Dfa, sigma: usize, k_with: usize) -> Dfa {
-    let small = ext_alphabet_len(sigma, k_with - 1);
-    let top = 1usize << (k_with - 1);
-    let mut n = Nfa::new(small);
-    for _ in 0..d.num_states() {
-        n.add_state();
-    }
-    for s_idx in 0..d.num_states() {
-        let s = StateId::from_index(s_idx);
-        n.set_accepting(s, d.is_accepting(s));
         for e_idx in 0..d.alphabet_len() {
             let e = Symbol::from_index(e_idx);
-            if let Some(t) = d.next(s, e) {
-                let mask = ext_mask(e, sigma);
-                let low = mask & !top;
-                let proj = ext_symbol(base_symbol(e, sigma), low, sigma);
-                n.add_transition(s, proj, t);
+            let (base, mask) = (base_symbol(e, self.sigma), ext_mask(e, self.sigma));
+            for q in 0..n {
+                let next = step(&[q], base, mask).map_or(dead, StateId::from_index);
+                d.set_transition(StateId::from_index(q), e, next);
+            }
+            d.set_transition(dead, e, dead);
+        }
+        d
+    }
+
+    fn intersect(&self, a: &Dfa, b: &Dfa) -> Dfa {
+        a.intersect(b)
+    }
+
+    fn union(&self, a: &Dfa, b: &Dfa) -> Dfa {
+        a.union(b)
+    }
+
+    fn difference(&self, a: &Dfa, b: &Dfa) -> Dfa {
+        a.difference(b)
+    }
+
+    fn minimize(&self, a: &Dfa) -> Dfa {
+        a.minimize()
+    }
+
+    fn project_top_bit(&self, d: &Dfa, k_with: usize) -> Dfa {
+        let sigma = self.sigma;
+        let top = 1usize << (k_with - 1);
+        let mut n = Nfa::new(ext_alphabet_len(sigma, k_with - 1));
+        for _ in 0..d.num_states() {
+            n.add_state();
+        }
+        for s_idx in 0..d.num_states() {
+            let s = StateId::from_index(s_idx);
+            n.set_accepting(s, d.is_accepting(s));
+            for e_idx in 0..d.alphabet_len() {
+                let e = Symbol::from_index(e_idx);
+                if let Some(t) = d.next(s, e) {
+                    let low = ext_mask(e, sigma) & !top;
+                    n.add_transition(s, ext_symbol(base_symbol(e, sigma), low, sigma), t);
+                }
             }
         }
+        n.set_initial(d.initial());
+        n.determinize().minimize()
     }
-    n.set_initial(d.initial());
-    n.determinize().minimize()
+
+    fn navigation(&self, atom: &Formula, ctx: &Ctx) -> Result<Dfa> {
+        let (x, y) = match atom {
+            Formula::Edge(x, y) | Formula::Less(x, y) => (x, y),
+            _ => {
+                return Err(Error::domain(
+                    "first_child/second_child/chain2 are tree atoms; strings have edge/<",
+                ))
+            }
+        };
+        let bx = ctx.fo_bit(x)?;
+        let by = ctx.fo_bit(y)?;
+        let at = |mask| (bit(mask, bx), bit(mask, by));
+        Ok(if matches!(atom, Formula::Edge(_, _)) {
+            // y = x + 1. States: 0 the last position had no x-bit, 1 it had
+            // the x-bit, so this one must carry the y-bit.
+            self.local(ctx.len(), 2, &[0], |prev, _, mask| {
+                match (prev[0], at(mask)) {
+                    (0, (hx, false)) => Some(usize::from(hx)),
+                    (1, (false, true)) => Some(0),
+                    _ => None, // y not right after x, or x not right before y
+                }
+            })
+        } else {
+            // States: 0 x not yet seen, 1 x seen and y not yet, 2 both, in
+            // order.
+            self.local(ctx.len(), 3, &[2], |prev, _, mask| {
+                match (prev[0], at(mask)) {
+                    (q, (false, false)) => Some(q),
+                    (0, (true, false)) => Some(1),
+                    (1, (false, true)) => Some(2),
+                    _ => None, // y first, same position, or a second x or y
+                }
+            })
+        })
+    }
 }
 
 /// Compile a sentence to a minimized total DFA over Σ.
 pub fn compile_sentence(f: &Formula, sigma: usize) -> Result<Dfa> {
-    let free = f.free_vars();
-    if !free.is_empty() {
-        return Err(Error::domain(format!(
-            "sentence expected, found free variables {free:?}"
-        )));
-    }
-    compile_inner(f, sigma, &Ctx::default())
+    compile::compile_sentence(&Strings { sigma }, f)
 }
 
 /// Compile a unary query `φ(x)` to a minimized total DFA over `Σ × {0,1}`
 /// (bit = "this is the position bound to `x`"); feed it words produced by
 /// [`mark_word`].
 pub fn compile_unary(f: &Formula, var: &str, sigma: usize) -> Result<Dfa> {
-    let free = f.free_vars();
-    if free.iter().any(|v| v != var) {
-        return Err(Error::domain(format!(
-            "unary query over `{var}` expected, found free variables {free:?}"
-        )));
-    }
-    let ctx = Ctx {
-        vars: vec![(var.to_string(), false)],
-    };
-    compile_inner(f, sigma, &ctx)
+    compile::compile_unary(&Strings { sigma }, f, var)
 }
 
 #[cfg(test)]

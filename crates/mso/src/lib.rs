@@ -9,11 +9,13 @@
 //! - [`naive`]: direct model-checking semantics (exponential in set
 //!   quantifiers) — the ground truth every compilation is property-tested
 //!   against.
-//! - [`compile_string`]: Büchi's construction (Theorem 2.5) — formulas to
+//! - [`compile`]: the one MSO compiler behind Büchi's construction
+//!   (Theorem 2.5) and Doner/Thatcher–Wright's (Theorem 2.8) — formulas to
 //!   automata over the bit-extended alphabet `Σ × {0,1}ᵏ`, with
-//!   minimization after every operation.
-//! - [`compile_ranked`]: Doner/Thatcher–Wright (Theorem 2.8) for trees of a
-//!   fixed rank.
+//!   minimization after every operation, generic over the automaton family.
+//! - [`compile_string`]: the string family (DFAs; successor and `<`).
+//! - [`compile_ranked`]: the ranked-tree family (DBTAs for trees of a fixed
+//!   rank; `edge`, sibling `<` and the encoding atoms).
 //! - [`unranked`]: unranked MSO via the first-child/next-sibling encoding —
 //!   atoms are translated to the binary encoding (Theorem 5.4's
 //!   expressiveness, realized constructively).
@@ -25,6 +27,7 @@
 //!   Hopcroft–Ullman composition (Lemma 3.10).
 
 pub mod ast;
+pub mod compile;
 pub mod compile_ranked;
 pub mod compile_string;
 pub mod naive;

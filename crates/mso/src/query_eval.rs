@@ -43,8 +43,8 @@ use qa_obs::{Counter, Machine, NoopObserver, Observer, Series};
 use qa_strings::StateId;
 use qa_trees::{NodeId, Tree};
 
+use crate::compile::ext_symbol;
 use crate::compile_ranked::mark_tree;
-use crate::compile_string::ext_symbol;
 use crate::unranked::{encoded_alphabet_len, nil_symbol};
 
 /// Naive evaluation: re-run the automaton once per node. `O(n²)`.

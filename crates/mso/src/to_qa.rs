@@ -23,7 +23,7 @@ use qa_base::{Result, Symbol};
 use qa_strings::{Dfa, StateId};
 use qa_twoway::{hopcroft_ullman, Bimachine, StringQa};
 
-use crate::compile_string::ext_symbol;
+use crate::compile::ext_symbol;
 
 /// Build the bimachine deciding per-position selection (see module docs).
 pub fn selection_bimachine(d: &Dfa, sigma: usize) -> Result<Bimachine> {

@@ -15,7 +15,7 @@ use std::fmt::Write;
 
 use qa_base::Alphabet;
 use qa_core::ranked::{ops, Dbta, Nbta};
-use qa_mso::compile_string::base_symbol;
+use qa_mso::compile::base_symbol;
 use qa_mso::{compile_ranked, compile_string, parse, unranked};
 use qa_strings::{Dfa, StateId};
 

@@ -12,7 +12,7 @@ use std::collections::HashSet;
 
 use query_automata::base::rng::{Rng, StdRng};
 use query_automata::core::ranked::{ops, Dbta};
-use query_automata::mso::compile_string::ext_symbol;
+use query_automata::mso::compile::ext_symbol;
 use query_automata::mso::query_eval::{
     eval_unary_ranked, eval_unary_ranked_naive, eval_unary_ranked_with, eval_unary_unranked,
     eval_unary_unranked_naive,

@@ -308,13 +308,33 @@ impl FormulaGen {
     }
 }
 
-/// Figure 5 (rank 2) and Figure 6 agree with the naive MSO semantics on
-/// random formulas and random trees of at most 8 nodes. Compiling is the
-/// cost (`leaf` and `root` hide a quantifier each), so formulas keep to
+/// Every word over `{0, 1}` of length at most `max_len`, shortest first.
+fn all_words(max_len: usize) -> Vec<Vec<Symbol>> {
+    let mut words = vec![Vec::new()];
+    let mut start = 0;
+    for _ in 0..max_len {
+        let end = words.len();
+        for i in start..end {
+            for s in 0..2 {
+                let mut w = words[i].clone();
+                w.push(sym(s));
+                words.push(w);
+            }
+        }
+        start = end;
+    }
+    words
+}
+
+/// Figure 5 (rank 2), Figure 6 and the string compiler agree with the naive
+/// MSO semantics on random formulas: on random trees of at most 8 nodes,
+/// and at every position of every word of length at most 5. Compiling is
+/// the cost (`leaf` and `root` hide a quantifier each), so formulas keep to
 /// four atoms and one explicit quantifier level: about 5 s in a debug
 /// build.
 #[test]
 fn random_formulas_agree_with_naive_on_figures_5_and_6() {
+    let words = all_words(5);
     for seed in 0..16 {
         let mut alphabet = Alphabet::from_names(["0", "1"]);
         let src = FormulaGen::new(seed).formula(4, 1);
@@ -324,6 +344,17 @@ fn random_formulas_agree_with_naive_on_figures_5_and_6() {
             .map_err(why)
             .unwrap();
         let unranked = unranked::compile_unary(&phi, "v", 2).map_err(why).unwrap();
+        let string = compile_string::compile_unary(&phi, "v", 2)
+            .map_err(why)
+            .unwrap();
+        for w in &words {
+            let want = naive::query(naive::Structure::Word(w), &phi, "v").unwrap();
+            let got: Vec<usize> = (0..w.len())
+                .filter(|&i| string.accepts(&compile_string::mark_word(w, i, 2)))
+                .collect();
+            let word = alphabet.render(w);
+            assert_eq!(got, want, "seed {seed}: {src} on {word}");
+        }
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..6 {
             let n = rng.gen_range(1..=8);
