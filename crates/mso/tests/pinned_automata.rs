@@ -1,9 +1,9 @@
 //! Pins the automata that the serving formulas compile to.
 //!
 //! State numbering falls out of the order in which `determinize`,
-//! `product` and `local_dbta` enumerate child-state tuples, and the order
-//! of `Dbta::transitions()` feeds `witness`, `trim` and the NBTA built by
-//! projection. A change to the transition table or to the tuple
+//! `product` and the ranked `local` builder enumerate child-state tuples,
+//! and the order of `Dbta::transitions()` feeds `witness`, `trim` and the
+//! NBTA built by projection. A change to the transition table or to the tuple
 //! enumerator that renumbers a single state changes one of the hashes
 //! below. The unary formulas are qa-serve's soak formulas and the five
 //! templates of qa-benchmark's churn workload, compiled as the daemon
