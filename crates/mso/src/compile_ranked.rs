@@ -41,7 +41,8 @@ impl Family for Ranked {
         finals: &[usize],
         step: impl Fn(&[usize], Symbol, usize) -> Option<usize>,
     ) -> Dbta {
-        let mut d = Dbta::new(ext_alphabet_len(self.sigma, k), self.rank);
+        let ext = ext_alphabet_len(self.sigma, k);
+        let mut d = Dbta::new(ext, self.rank);
         for _ in 0..n {
             d.add_state();
         }
@@ -51,20 +52,27 @@ impl Family for Ranked {
         }
         // enumerate all tuples of states (incl. dead) up to the rank
         let mut ids: Vec<StateId> = Vec::new();
-        for e_idx in 0..d.alphabet_len() {
+        for e_idx in 0..ext {
             let e = Symbol::from_index(e_idx);
-            let (base, mask) = (base_symbol(e, self.sigma), ext_mask(e, self.sigma));
+            let base = base_symbol(e, self.sigma);
+            let mask = ext_mask(e, self.sigma);
             for arity in 0..=self.rank {
                 let mut tuples = Tuples::<usize>::new(arity, n + 1);
                 while let Some(tuple) = tuples.next_tuple() {
-                    let target = match tuple.contains(&n) {
-                        true => None,
-                        false => step(tuple, base, mask),
+                    let target = if tuple.contains(&n) {
+                        dead
+                    } else {
+                        match step(tuple, base, mask) {
+                            Some(q) => {
+                                debug_assert!(q < n);
+                                StateId::from_index(q)
+                            }
+                            None => dead,
+                        }
                     };
-                    debug_assert!(target.is_none_or(|q| q < n));
                     ids.clear();
                     ids.extend(tuple.iter().map(|&i| StateId::from_index(i)));
-                    d.set_transition(&ids, e, target.map_or(dead, StateId::from_index));
+                    d.set_transition(&ids, e, target);
                 }
             }
         }
@@ -96,8 +104,9 @@ impl Family for Ranked {
             n.set_final(s, d.is_final(s));
         }
         for (children, e, q) in d.transitions() {
-            let low = ext_mask(e, sigma) & !top;
-            n.add_transition(children, ext_symbol(base_symbol(e, sigma), low, sigma), q);
+            let mask = ext_mask(e, sigma);
+            let proj = ext_symbol(base_symbol(e, sigma), mask & !top, sigma);
+            n.add_transition(children, proj, q);
         }
         ops::minimize(&ops::determinize(&n))
     }
@@ -113,61 +122,146 @@ impl Family for Ranked {
         };
         let bx = ctx.fo_bit(x)?;
         let by = ctx.fo_bit(y)?;
-        let at = |mask| (bit(mask, bx), bit(mask, by));
-        // the first child in state `q`, if any
-        let first = |kids: &[usize], q| kids.iter().position(|&c| c == q);
-        // `sat` if some child is in `sat`, else `plain`
-        let carry =
-            |kids: &[usize], sat, plain| Some(if kids.contains(&sat) { sat } else { plain });
         let k = ctx.len();
         Ok(match atom {
-            // E(x, y): the y-bit node's parent carries the x-bit. States:
-            // 0 plain, 1 "y was this node" (must be consumed by the
-            // immediate parent), 2 satisfied.
-            Formula::Edge(_, _) => self.local(k, 3, &[0, 2], |kids, _, mask| {
-                let pending = kids.iter().filter(|&&c| c == 1).count();
-                match (pending, at(mask)) {
-                    (0, (_, true)) => Some(1),
-                    (1, (true, false)) => Some(2),
-                    (0, (_, false)) => carry(kids, 2, 0),
-                    _ => None, // a y not consumed by its parent, or two ys
-                }
-            }),
-            // sibling order: x-bit node and y-bit node share a parent, x
-            // strictly earlier. States: 0 plain, 1 "x was this node", 2 "y
-            // was this node", 3 satisfied.
-            Formula::Less(_, _) => self.local(k, 4, &[3], |kids, _, mask| {
-                match (first(kids, 1), first(kids, 2), at(mask)) {
-                    (Some(i), Some(j), (false, false)) if i < j && !kids.contains(&3) => Some(3),
-                    (None, None, (true, false)) => Some(1),
-                    (None, None, (false, true)) => Some(2),
-                    (None, None, (false, false)) => carry(kids, 3, 0),
-                    _ => None, // same node, wrong order, or unmatched
-                }
-            }),
-            // y is x's child at a fixed index. States: 0 plain, 1 "y was
-            // this node", 2 satisfied.
-            Formula::FirstChild(_, _) | Formula::SecondChild(_, _) => {
-                let want = usize::from(matches!(atom, Formula::SecondChild(_, _)));
-                self.local(k, 3, &[0, 2], move |kids, _, mask| {
-                    match (first(kids, 1), at(mask)) {
-                        (None, (false, true)) => Some(1),
-                        (Some(i), (true, false)) if i == want => Some(2),
-                        (None, (false, false)) => carry(kids, 2, 0),
-                        _ => None, // same node, y elsewhere, or x without y
+            Formula::Edge(_, _) => {
+                // E(x, y): the y-bit node's parent carries the x-bit.
+                // states: 0 plain, 1 "y was this node" (must be consumed by the
+                // immediate parent), 2 satisfied.
+                self.local(k, 3, &[0, 2], move |kids, _base, mask| {
+                    let yjust = kids.iter().filter(|&&c| c == 1).count();
+                    let sat = kids.contains(&2);
+                    let (hx, hy) = (bit(mask, bx), bit(mask, by));
+                    if hy {
+                        // y here: its parent must carry x; y cannot also consume
+                        // a pending y below (validity kills duplicates anyway).
+                        if yjust > 0 {
+                            return None;
+                        }
+                        return Some(1);
+                    }
+                    if yjust > 1 {
+                        return None;
+                    }
+                    if yjust == 1 {
+                        if hx {
+                            return Some(2);
+                        }
+                        return None;
+                    }
+                    if sat {
+                        return Some(2);
+                    }
+                    Some(0)
+                })
+            }
+            Formula::Less(_, _) => {
+                // sibling order: x-bit node and y-bit node share a parent, x
+                // strictly earlier.
+                // states: 0 plain, 1 "x was this node", 2 "y was this node",
+                // 3 satisfied.
+                self.local(k, 4, &[3], move |kids, _base, mask| {
+                    let sat_below = kids.contains(&3);
+                    let xpos = kids.iter().position(|&c| c == 1);
+                    let ypos = kids.iter().position(|&c| c == 2);
+                    let (hx, hy) = (bit(mask, bx), bit(mask, by));
+                    if hx && hy {
+                        return None; // same node: not strictly ordered
+                    }
+                    match (xpos, ypos) {
+                        (Some(i), Some(j)) => {
+                            if i < j && !hx && !hy && !sat_below {
+                                Some(3)
+                            } else {
+                                None
+                            }
+                        }
+                        (Some(_), None) | (None, Some(_)) => None, // unmatched
+                        (None, None) => {
+                            if hx {
+                                Some(1)
+                            } else if hy {
+                                Some(2)
+                            } else if sat_below {
+                                Some(3)
+                            } else {
+                                Some(0)
+                            }
+                        }
                     }
                 })
             }
-            // y reachable from x via 0+ second-child steps. States: 0
-            // plain, 1 pending chain (y at/below via second-child links, x
-            // not yet met), 2 satisfied.
-            _ => self.local(k, 3, &[2], |kids, _, mask| {
-                match (first(kids, 1), at(mask)) {
-                    (None, (hx, true)) | (Some(1), (hx, false)) => Some(if hx { 2 } else { 1 }),
-                    (None, (false, false)) => carry(kids, 2, 0),
-                    _ => None, // duplicate y, a broken chain, or x off the chain
-                }
-            }),
+            Formula::FirstChild(_, _) | Formula::SecondChild(_, _) => {
+                // y is x's child at a fixed index.
+                let want = usize::from(matches!(atom, Formula::SecondChild(_, _)));
+                // states: 0 plain, 1 "y was this node", 2 satisfied.
+                self.local(k, 3, &[0, 2], move |kids, _base, mask| {
+                    let ypos = kids.iter().position(|&c| c == 1);
+                    let sat = kids.contains(&2);
+                    let (hx, hy) = (bit(mask, bx), bit(mask, by));
+                    if hy {
+                        if hx || ypos.is_some() {
+                            return None; // same node / duplicate y
+                        }
+                        return Some(1);
+                    }
+                    match ypos {
+                        Some(i) => {
+                            if i == want && hx {
+                                Some(2)
+                            } else {
+                                None
+                            }
+                        }
+                        None => {
+                            if hx {
+                                None // x here but y is not its index-`want` child
+                            } else if sat {
+                                Some(2)
+                            } else {
+                                Some(0)
+                            }
+                        }
+                    }
+                })
+            }
+            _ => {
+                // Chain2: y reachable from x via 0+ second-child steps.
+                // states: 0 plain, 1 pending chain (y at/below via second-child
+                // links, x not yet met), 2 satisfied.
+                self.local(k, 3, &[2], move |kids, _base, mask| {
+                    let pending = kids.iter().position(|&c| c == 1);
+                    let sat = kids.contains(&2);
+                    let (hx, hy) = (bit(mask, bx), bit(mask, by));
+                    if hy {
+                        if pending.is_some() {
+                            return None; // duplicate y
+                        }
+                        return if hx { Some(2) } else { Some(1) };
+                    }
+                    match pending {
+                        Some(i) => {
+                            if i != 1 {
+                                return None; // chain broken by a non-second edge
+                            }
+                            if hx {
+                                Some(2)
+                            } else {
+                                Some(1)
+                            }
+                        }
+                        None => {
+                            if hx {
+                                None // x off the chain
+                            } else if sat {
+                                Some(2)
+                            } else {
+                                Some(0)
+                            }
+                        }
+                    }
+                })
+            }
         })
     }
 }

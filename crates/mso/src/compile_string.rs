@@ -74,8 +74,9 @@ impl Family for Strings {
 
     fn project_top_bit(&self, d: &Dfa, k_with: usize) -> Dfa {
         let sigma = self.sigma;
+        let small = ext_alphabet_len(sigma, k_with - 1);
         let top = 1usize << (k_with - 1);
-        let mut n = Nfa::new(ext_alphabet_len(sigma, k_with - 1));
+        let mut n = Nfa::new(small);
         for _ in 0..d.num_states() {
             n.add_state();
         }
@@ -85,8 +86,10 @@ impl Family for Strings {
             for e_idx in 0..d.alphabet_len() {
                 let e = Symbol::from_index(e_idx);
                 if let Some(t) = d.next(s, e) {
-                    let low = ext_mask(e, sigma) & !top;
-                    n.add_transition(s, ext_symbol(base_symbol(e, sigma), low, sigma), t);
+                    let mask = ext_mask(e, sigma);
+                    let low = mask & !top;
+                    let proj = ext_symbol(base_symbol(e, sigma), low, sigma);
+                    n.add_transition(s, proj, t);
                 }
             }
         }
