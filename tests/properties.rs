@@ -331,9 +331,16 @@ fn all_words(max_len: usize) -> Vec<Vec<Symbol>> {
 /// and at every position of every word of length at most 5. Compiling is
 /// the cost (`leaf` and `root` hide a quantifier each), so formulas keep to
 /// four atoms and one explicit quantifier level: about 5 s in a debug
-/// build.
+/// build. The compiled automata are also pinned: one FNV-1a per family
+/// (string, rank 2, unranked) over the listings of all 16.
 #[test]
 fn random_formulas_agree_with_naive_on_figures_5_and_6() {
+    const PINNED: [(&str, u64); 3] = [
+        ("string", 0x645799883fd62581),
+        ("rank 2", 0xe885be867a03ea28),
+        ("unranked", 0x86125f12231b14b4),
+    ];
+    let mut listings = [String::new(), String::new(), String::new()];
     let words = all_words(5);
     for seed in 0..16 {
         let mut alphabet = Alphabet::from_names(["0", "1"]);
@@ -347,6 +354,9 @@ fn random_formulas_agree_with_naive_on_figures_5_and_6() {
         let string = compile_string::compile_unary(&phi, "v", 2)
             .map_err(why)
             .unwrap();
+        dfa_listing(&mut listings[0], &string);
+        dbta_listing(&mut listings[1], &ranked);
+        dbta_listing(&mut listings[2], &unranked);
         for w in &words {
             let want = naive::query(naive::Structure::Word(w), &phi, "v").unwrap();
             let got: Vec<usize> = (0..w.len())
@@ -371,6 +381,12 @@ fn random_formulas_agree_with_naive_on_figures_5_and_6() {
             }
         }
     }
+    let got: Vec<(&str, u64)> = PINNED
+        .iter()
+        .zip(&listings)
+        .map(|(&(family, _), listing)| (family, query_automata::obs::fnv1a64(listing.as_bytes())))
+        .collect();
+    assert_eq!(got, PINNED, "compiled automata changed; now: {got:#x?}");
 }
 
 /// Append a DFA's state count, initial state, every `(state, symbol) →
@@ -403,36 +419,6 @@ fn dbta_listing(out: &mut String, d: &Dbta) {
             let _ = writeln!(out, "final {q:?}");
         }
     }
-}
-
-/// The 16 generated formulas of the test above compile, as string, rank-2
-/// and unranked unary queries, to the pinned automata: one FNV-1a per
-/// family over all 16 listings.
-#[test]
-fn generated_formulas_compile_to_the_pinned_automata() {
-    const PINNED: [(&str, u64); 3] = [
-        ("string", 0x645799883fd62581),
-        ("rank 2", 0xe885be867a03ea28),
-        ("unranked", 0x86125f12231b14b4),
-    ];
-    let mut listings = [String::new(), String::new(), String::new()];
-    for seed in 0..16 {
-        let mut alphabet = Alphabet::from_names(["0", "1"]);
-        let src = FormulaGen::new(seed).formula(4, 1);
-        let phi = parse_mso(&src, &mut alphabet).unwrap();
-        let string = compile_string::compile_unary(&phi, "v", 2).unwrap();
-        dfa_listing(&mut listings[0], &string);
-        let ranked = compile_ranked::compile_unary(&phi, "v", 2, 2).unwrap();
-        dbta_listing(&mut listings[1], &ranked);
-        let unranked = unranked::compile_unary(&phi, "v", 2).unwrap();
-        dbta_listing(&mut listings[2], &unranked);
-    }
-    let got: Vec<(&str, u64)> = PINNED
-        .iter()
-        .zip(&listings)
-        .map(|(&(family, _), listing)| (family, query_automata::obs::fnv1a64(listing.as_bytes())))
-        .collect();
-    assert_eq!(got, PINNED, "compiled automata changed; now: {got:#x?}");
 }
 
 /// Unranked run confluence: random schedules select the same nodes.
