@@ -213,6 +213,59 @@ fn fleet_artifacts_match_the_golden_files() {
 }
 
 #[test]
+fn scope_exports_and_post_mortem_match_the_golden_files() {
+    // The same corpus under --scope: the per-state visit and transition
+    // tables and the EXPLAIN report are pinned byte for byte. With a
+    // 30-step budget the first job trips; under --jobs 1 that job, and so
+    // the post-mortem's flight dump, is fixed.
+    let corpus = [
+        "--queries",
+        "4",
+        "--docs",
+        "8",
+        "--size",
+        "48",
+        "--seed",
+        "7",
+    ];
+    let scoped = tmp("fleet-golden-scope");
+    let out = qa_fleet(
+        &[
+            &corpus[..],
+            &["--jobs", "2", "--scope", "--out-dir", &scoped],
+        ]
+        .concat(),
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let read = |d: &str, f: &str| std::fs::read_to_string(PathBuf::from(d).join(f)).unwrap();
+    assert_eq!(
+        read(&scoped, "scope.json"),
+        include_str!("golden/q4-d8-z48-s7/scope.json")
+    );
+    assert_eq!(
+        read(&scoped, "explain.txt"),
+        include_str!("golden/q4-d8-z48-s7/explain.txt")
+    );
+    let tripped = tmp("fleet-golden-trip");
+    let out = qa_fleet(
+        &[
+            &corpus[..],
+            &["--jobs", "1", "--max-steps", "30", "--out-dir", &tripped],
+        ]
+        .concat(),
+    );
+    assert_eq!(out.status.code(), Some(1), "budget trips must fail the run");
+    assert_eq!(
+        read(&tripped, "postmortem.txt"),
+        include_str!("golden/q4-d8-z48-s7/postmortem.max-steps-30.txt")
+    );
+}
+
+#[test]
 fn failed_run_flushes_partial_telemetry_mid_batch() {
     // When a worker's budget trips, summary.txt/metrics.prom must already
     // be on disk before the batch finishes; on normal exit they are

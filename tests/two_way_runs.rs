@@ -5,7 +5,8 @@
 use query_automata::base::rng::{Rng, StdRng};
 use query_automata::core::ranked::twoway::Polarity;
 use query_automata::core::unranked::stay::{pair_alphabet_len, pair_symbol};
-use query_automata::obs::{Counter, Metrics};
+use query_automata::core::unranked::UpCache;
+use query_automata::obs::{Abort, Counter, Machine, Metrics, Series};
 use query_automata::prelude::*;
 use query_automata::strings::{Dfa, SlenderLang, StateId};
 use query_automata::trees::generate;
@@ -255,10 +256,14 @@ fn selected_from(
         .collect()
 }
 
-#[test]
-fn ranked_machine_over_64_states_agrees_with_scheduled_runs() {
-    // d_i descends handing d_{i+1 mod 70} to every child; leaves turn u,
-    // and u folds up to the root.
+/// Whether a state of the wide machines selects.
+fn wide_selecting(s: StateId) -> bool {
+    s.index().is_multiple_of(7) || (65..WIDE).contains(&s.index())
+}
+
+/// `d_i` descends handing `d_{i+1 mod 70}` to every child; leaves turn
+/// `u`, and `u` folds up to the root.
+fn wide_ranked_qa() -> RankedQa {
     let a = Symbol::from_index(0);
     let mut b = TwoWayRankedBuilder::new(1, 2);
     for _ in 0..=WIDE {
@@ -278,32 +283,14 @@ fn ranked_machine_over_64_states_agrees_with_scheduled_runs() {
     b.set_up(&[(u, a)], u);
     b.set_up(&[(u, a), (u, a)], u);
     let mut qa = RankedQa::new(b.build().unwrap());
-    let selecting = |s: StateId| s.index().is_multiple_of(7) || (65..WIDE).contains(&s.index());
-    for s in (0..=WIDE).map(q).filter(|&s| selecting(s)) {
+    for s in (0..=WIDE).map(q).filter(|&s| wide_selecting(s)) {
         qa.set_selecting(s, a, true);
     }
-    let m = qa.machine();
-    let mut rng = StdRng::seed_from_u64(0x71);
-    for (case, t) in wide_trees(0x72, Some(2)).iter().enumerate() {
-        let metrics = Metrics::new();
-        let rec = m.run_with(t, &mut metrics.observer()).unwrap();
-        let reference = m
-            .run_scheduled(t, m.default_fuel(t), |n| rng.gen_range(0..n))
-            .unwrap();
-        assert!(rec.accepted && reference.accepted, "case {case}");
-        assert_eq!(rec.assumed, reference.assumed, "case {case}");
-        assert_eq!(metrics.get(Counter::Steps), reference.steps, "case {case}");
-        assert_eq!(
-            qa.query(t).unwrap(),
-            selected_from(&reference.assumed, t, selecting),
-            "case {case}"
-        );
-    }
+    qa
 }
 
-#[test]
-fn unranked_machine_over_64_states_agrees_with_scheduled_runs() {
-    // The unranked form of the ranked machine above, over any fan-out.
+/// The unranked form of [`wide_ranked_qa`], over any fan-out.
+fn wide_unranked_qa() -> UnrankedQa {
     let a = Symbol::from_index(0);
     let mut b = TwoWayUnrankedBuilder::new(1);
     for _ in 0..=WIDE {
@@ -324,10 +311,37 @@ fn unranked_machine_over_64_states_agrees_with_scheduled_runs() {
         plus(pair_alphabet_len(WIDE + 1, 1), pair_symbol(u, a, 1)),
     );
     let mut qa = UnrankedQa::new(b.build().unwrap());
-    let selecting = |s: StateId| s.index().is_multiple_of(7) || (65..WIDE).contains(&s.index());
-    for s in (0..=WIDE).map(q).filter(|&s| selecting(s)) {
+    for s in (0..=WIDE).map(q).filter(|&s| wide_selecting(s)) {
         qa.set_selecting(s, a, true);
     }
+    qa
+}
+
+#[test]
+fn ranked_machine_over_64_states_agrees_with_scheduled_runs() {
+    let qa = wide_ranked_qa();
+    let m = qa.machine();
+    let mut rng = StdRng::seed_from_u64(0x71);
+    for (case, t) in wide_trees(0x72, Some(2)).iter().enumerate() {
+        let metrics = Metrics::new();
+        let rec = m.run_with(t, &mut metrics.observer()).unwrap();
+        let reference = m
+            .run_scheduled(t, m.default_fuel(t), |n| rng.gen_range(0..n))
+            .unwrap();
+        assert!(rec.accepted && reference.accepted, "case {case}");
+        assert_eq!(rec.assumed, reference.assumed, "case {case}");
+        assert_eq!(metrics.get(Counter::Steps), reference.steps, "case {case}");
+        assert_eq!(
+            qa.query(t).unwrap(),
+            selected_from(&reference.assumed, t, wide_selecting),
+            "case {case}"
+        );
+    }
+}
+
+#[test]
+fn unranked_machine_over_64_states_agrees_with_scheduled_runs() {
+    let qa = wide_unranked_qa();
     let m = qa.machine();
     let mut rng = StdRng::seed_from_u64(0x73);
     for (case, t) in wide_trees(0x74, None).iter().enumerate() {
@@ -341,8 +355,179 @@ fn unranked_machine_over_64_states_agrees_with_scheduled_runs() {
         assert_eq!(metrics.get(Counter::Steps), reference.steps, "case {case}");
         assert_eq!(
             qa.query(t).unwrap(),
-            selected_from(&reference.assumed, t, selecting),
+            selected_from(&reference.assumed, t, wide_selecting),
             "case {case}"
         );
     }
+}
+
+/// FNV-1a over every observer hook, in call order and with its arguments,
+/// so two runs fold to one value only if they report the same events.
+struct HookHash(u64);
+
+impl HookHash {
+    fn new() -> Self {
+        HookHash(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn fold(&mut self, words: &[u64]) {
+        for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn fold_str(&mut self, s: &str) {
+        self.fold(&[s.len() as u64]);
+        for b in s.bytes() {
+            self.fold(&[u64::from(b)]);
+        }
+    }
+
+    /// A query's answer: the selected nodes, or the error's message.
+    fn fold_answer(&mut self, answer: Result<Vec<NodeId>>) {
+        match answer {
+            Ok(nodes) => {
+                self.fold(&[0, nodes.len() as u64]);
+                for v in nodes {
+                    self.fold(&[v.index() as u64]);
+                }
+            }
+            Err(e) => {
+                self.fold(&[1]);
+                self.fold_str(&e.to_string());
+            }
+        }
+    }
+}
+
+impl Observer for HookHash {
+    fn count(&mut self, counter: Counter, n: u64) {
+        self.fold(&[1, counter.index() as u64, n]);
+    }
+    fn record(&mut self, series: Series, value: u64) {
+        self.fold(&[2, series.index() as u64, value]);
+    }
+    fn config(&mut self, state: u32, pos: u32, dir: i8) {
+        self.fold(&[3, state.into(), pos.into(), dir as u8 as u64]);
+    }
+    fn phase_start(&mut self, name: &'static str) {
+        self.fold(&[4]);
+        self.fold_str(name);
+    }
+    fn phase_end(&mut self, name: &'static str) {
+        self.fold(&[5]);
+        self.fold_str(name);
+    }
+    fn selected(&mut self, pos: u32, state: u32, sym: u32) {
+        self.fold(&[6, pos.into(), state.into(), sym.into()]);
+    }
+    fn stay_assign(&mut self, parent: u32, child: u32, state: u32) {
+        self.fold(&[7, parent.into(), child.into(), state.into()]);
+    }
+    fn state_visit(&mut self, machine: Machine, state: u32, sym: u32) {
+        self.fold(&[8, machine.index() as u64, state.into(), sym.into()]);
+    }
+    fn transition_fired(&mut self, machine: Machine, from: u32, sym: u32, to: u32) {
+        self.fold(&[
+            9,
+            machine.index() as u64,
+            from.into(),
+            sym.into(),
+            to.into(),
+        ]);
+    }
+    fn checkpoint(&mut self) -> std::result::Result<(), Abort> {
+        self.fold(&[10]);
+        Ok(())
+    }
+}
+
+/// The hook hash of `query_with` over every tree.
+fn ranked_hash(qa: &RankedQa, trees: &[Tree]) -> u64 {
+    let mut h = HookHash::new();
+    for t in trees {
+        let answer = qa.query_with(t, &mut h);
+        h.fold_answer(answer);
+    }
+    h.0
+}
+
+/// The hook hashes of `query_with` and of `query_cached` (one cache across
+/// all trees) over every tree.
+fn unranked_hashes(qa: &UnrankedQa, trees: &[Tree]) -> (u64, u64) {
+    let (mut plain, mut cached) = (HookHash::new(), HookHash::new());
+    let mut cache = UpCache::new();
+    for t in trees {
+        let answer = qa.query_with(t, &mut plain);
+        plain.fold_answer(answer);
+        let answer = qa.query_cached(t, &mut cache, &mut cached);
+        cached.fold_answer(answer);
+    }
+    (plain.0, cached.0)
+}
+
+/// 40 seeded trees over `inner` labels, whose leaves are relabelled from
+/// `leaves`.
+fn circuits(seed: u64, inner: &[Symbol], leaves: &[Symbol], max_rank: Option<usize>) -> Vec<Tree> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..40)
+        .map(|i| {
+            let mut t = generate::random(&mut rng, inner, 1 + i % 23, max_rank);
+            for v in t.leaves().collect::<Vec<_>>() {
+                t.set_label(v, leaves[rng.gen_range(0..leaves.len())]);
+            }
+            t
+        })
+        .collect()
+}
+
+#[test]
+fn run_hooks_are_pinned() {
+    // One hash over every hook the runs report, per machine and entry
+    // point. A change to the run loops that moves, drops or reorders any
+    // event, or changes an answer, changes a hash.
+    let circuit = Alphabet::from_names(["AND", "OR", "0", "1"]);
+    let (gates, bits) = (
+        [circuit.symbol("AND"), circuit.symbol("OR")],
+        [circuit.symbol("0"), circuit.symbol("1")],
+    );
+    let mut rng = StdRng::seed_from_u64(0x44);
+    let full_binary: Vec<Tree> = (0..40)
+        .map(|i| generate::random_full_binary(&mut rng, &gates, &bits, i % 17))
+        .collect();
+    let variadic = circuits(0x59, &gates, &bits, None);
+    let bits_only = Alphabet::from_names(["0", "1"]);
+    let zero_one = [bits_only.symbol("0"), bits_only.symbol("1")];
+    let sibling_groups = circuits(0x514, &zero_one, &zero_one, None);
+
+    let (e59, e59_cached) = unranked_hashes(&example_5_9(&circuit), &variadic);
+    let (e514, e514_cached) = unranked_hashes(&example_5_14(&bits_only), &sibling_groups);
+    let (wide, wide_cached) = unranked_hashes(&wide_unranked_qa(), &wide_trees(0x74, None));
+    let got = [
+        (
+            "example 4.4",
+            ranked_hash(&example_4_4(&circuit), &full_binary),
+        ),
+        ("example 5.9", e59),
+        ("example 5.9 cached", e59_cached),
+        ("example 5.14", e514),
+        ("example 5.14 cached", e514_cached),
+        (
+            "wide ranked",
+            ranked_hash(&wide_ranked_qa(), &wide_trees(0x72, Some(2))),
+        ),
+        ("wide unranked", wide),
+        ("wide unranked cached", wide_cached),
+    ];
+    let want: [(&str, u64); 8] = [
+        ("example 4.4", 0x30fb_fab3_f4c6_c251),
+        ("example 5.9", 0xe500_e57b_1654_a1d4),
+        ("example 5.9 cached", 0xd318_fca3_4e2e_121f),
+        ("example 5.14", 0xa157_587b_8867_d6d9),
+        ("example 5.14 cached", 0xe634_2f5f_6d13_f818),
+        ("wide ranked", 0x7687_8178_6332_0df7),
+        ("wide unranked", 0x67a7_1e50_2ece_74ab),
+        ("wide unranked cached", 0x7d04_6217_deec_fb7c),
+    ];
+    assert_eq!(got, want);
 }
