@@ -30,6 +30,7 @@
 
 #![deny(missing_docs)]
 
+mod cut;
 pub mod ranked;
 pub mod unranked;
 

@@ -4,10 +4,12 @@
 use std::collections::HashMap;
 
 use qa_base::{Error, Result, Symbol};
-use qa_obs::{Counter, Machine, NoopObserver, Observer, Series};
+use qa_obs::{Machine, NoopObserver, Observer};
 use qa_strings::StateId;
 use qa_trees::{NodeId, Tree};
 use qa_twoway::AssumedSets;
+
+use crate::cut::{self, CutRules, Fold, Table};
 
 /// Whether a `(state, label)` pair takes part in up or down transitions.
 ///
@@ -21,31 +23,6 @@ pub enum Polarity {
     Up,
     /// Member of `D`: participates in down/leaf transitions.
     Down,
-}
-
-/// The transitions of one `(state, label)` pair: one slot of the flat
-/// `[state · |Σ| + label]` table that both two-way machines keep, grown by
-/// `|Σ|` slots per `add_state`. `down` is the ranked machine's defined `δ↓`
-/// tuples (one per arity) or the unranked machine's `L↓`.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Cell<D> {
-    /// `None`: the pair is in neither `U` nor `D`.
-    pub(crate) polarity: Option<Polarity>,
-    pub(crate) leaf: Option<StateId>,
-    pub(crate) root: Option<StateId>,
-    pub(crate) down: D,
-}
-
-/// Every slot of a `[state · |Σ| + label]` table with its pair,
-/// state-major.
-pub(crate) fn pairs<T>(
-    table: &[T],
-    alphabet_len: usize,
-) -> impl Iterator<Item = (StateId, Symbol, &T)> {
-    table.iter().enumerate().map(move |(i, t)| {
-        let (q, s) = (i / alphabet_len, i % alphabet_len);
-        (StateId::from_index(q), Symbol::from_index(s), t)
-    })
 }
 
 /// A two-way deterministic ranked tree automaton.
@@ -64,14 +41,10 @@ pub(crate) fn pairs<T>(
 /// holding a final state.
 #[derive(Clone, Debug)]
 pub struct TwoWayRanked {
-    alphabet_len: usize,
-    num_states: usize,
+    /// Each cell's `down` lists the defined `δ↓` tuples, whose lengths are
+    /// their arities.
+    table: Table<Vec<Vec<StateId>>>,
     max_rank: usize,
-    initial: StateId,
-    finals: Vec<bool>,
-    /// `cells[state · |Σ| + symbol]`; `down` lists the defined `δ↓`
-    /// tuples, whose lengths are their arities.
-    cells: Vec<Cell<Vec<Vec<StateId>>>>,
     /// Keyed by the children's pairs: `decision/tiling.rs` folds a fan of
     /// `|T|` children, which a dense tuple table would need
     /// `(|Q|·|Σ|)^|T|` slots for.
@@ -89,12 +62,8 @@ impl TwoWayRankedBuilder {
     pub fn new(alphabet_len: usize, max_rank: usize) -> Self {
         TwoWayRankedBuilder {
             inner: TwoWayRanked {
-                alphabet_len,
-                num_states: 0,
+                table: Table::new(alphabet_len),
                 max_rank,
-                initial: StateId::from_index(0),
-                finals: Vec::new(),
-                cells: Vec::new(),
                 delta_up: HashMap::new(),
             },
         }
@@ -102,43 +71,30 @@ impl TwoWayRankedBuilder {
 
     /// Add a fresh state.
     pub fn add_state(&mut self) -> StateId {
-        let id = StateId::from_index(self.inner.num_states);
-        self.inner.num_states += 1;
-        self.inner.finals.push(false);
-        let len = self.inner.cells.len() + self.inner.alphabet_len;
-        self.inner.cells.resize(len, Cell::default());
-        id
-    }
-
-    fn cell(&mut self, state: StateId, label: Symbol) -> &mut Cell<Vec<Vec<StateId>>> {
-        let slot = state.index() * self.inner.alphabet_len + label.index();
-        &mut self.inner.cells[slot]
+        self.inner.table.add_state()
     }
 
     /// Set the initial state.
     pub fn set_initial(&mut self, state: StateId) -> &mut Self {
-        self.inner.initial = state;
+        self.inner.table.initial = state;
         self
     }
 
     /// Mark `state` final.
     pub fn set_final(&mut self, state: StateId, is_final: bool) -> &mut Self {
-        self.inner.finals[state.index()] = is_final;
+        self.inner.table.finals[state.index()] = is_final;
         self
     }
 
     /// Put `(state, label)` into `U` or `D`.
     pub fn set_polarity(&mut self, state: StateId, label: Symbol, p: Polarity) -> &mut Self {
-        self.cell(state, label).polarity = Some(p);
+        self.inner.table.cell_mut(state, label).polarity = Some(p);
         self
     }
 
     /// Put `(state, ·)` into `U` or `D` for every label.
     pub fn set_polarity_all(&mut self, state: StateId, p: Polarity) -> &mut Self {
-        let sigma = self.inner.alphabet_len;
-        for cell in &mut self.inner.cells[state.index() * sigma..][..sigma] {
-            cell.polarity = Some(p);
-        }
+        self.inner.table.set_polarity_all(state, p);
         self
     }
 
@@ -149,7 +105,7 @@ impl TwoWayRankedBuilder {
         label: Symbol,
         children_states: &[StateId],
     ) -> &mut Self {
-        let down = &mut self.cell(state, label).down;
+        let down = &mut self.inner.table.cell_mut(state, label).down;
         match down.iter_mut().find(|v| v.len() == children_states.len()) {
             Some(v) => v.copy_from_slice(children_states),
             None => down.push(children_states.to_vec()),
@@ -159,13 +115,13 @@ impl TwoWayRankedBuilder {
 
     /// Define `δ_leaf(state, label) = next`.
     pub fn set_leaf(&mut self, state: StateId, label: Symbol, next: StateId) -> &mut Self {
-        self.cell(state, label).leaf = Some(next);
+        self.inner.table.cell_mut(state, label).leaf = Some(next);
         self
     }
 
     /// Define `δ_root(state, label) = next`.
     pub fn set_root(&mut self, state: StateId, label: Symbol, next: StateId) -> &mut Self {
-        self.cell(state, label).root = Some(next);
+        self.inner.table.cell_mut(state, label).root = Some(next);
         self
     }
 
@@ -178,10 +134,10 @@ impl TwoWayRankedBuilder {
     /// Validate and finish.
     pub fn build(self) -> Result<TwoWayRanked> {
         let m = self.inner;
-        if m.num_states == 0 {
+        if m.table.num_states == 0 {
             return Err(Error::ill_formed("2DTAr", "no states"));
         }
-        for (q, s, c) in pairs(&m.cells, m.alphabet_len) {
+        for (q, s, c) in m.table.pairs() {
             let (down, up) = (Some(Polarity::Down), Some(Polarity::Up));
             let misplaced = if c.leaf.is_some() && c.polarity != down {
                 "δ_leaf defined on non-D pair"
@@ -217,7 +173,7 @@ impl TwoWayRankedBuilder {
                 }
             }
         }
-        for v in m.cells.iter().flat_map(|c| &c.down) {
+        for v in m.table.cells.iter().flat_map(|c| &c.down) {
             let n = v.len();
             if n == 0 || n > m.max_rank {
                 return Err(Error::ill_formed(
@@ -251,12 +207,12 @@ pub struct RankedRunRecord {
 impl TwoWayRanked {
     /// Alphabet size.
     pub fn alphabet_len(&self) -> usize {
-        self.alphabet_len
+        self.table.alphabet_len
     }
 
     /// Number of states.
     pub fn num_states(&self) -> usize {
-        self.num_states
+        self.table.num_states
     }
 
     /// Maximum rank.
@@ -266,29 +222,25 @@ impl TwoWayRanked {
 
     /// The initial state.
     pub fn initial(&self) -> StateId {
-        self.initial
+        self.table.initial
     }
 
     /// Whether `state` is final.
     pub fn is_final(&self, state: StateId) -> bool {
-        self.finals[state.index()]
-    }
-
-    #[inline]
-    fn cell(&self, state: StateId, label: Symbol) -> &Cell<Vec<Vec<StateId>>> {
-        &self.cells[state.index() * self.alphabet_len + label.index()]
+        self.table.finals[state.index()]
     }
 
     /// The polarity of `(state, label)`.
     #[inline]
     pub fn polarity(&self, state: StateId, label: Symbol) -> Option<Polarity> {
-        self.cell(state, label).polarity
+        self.table.cell(state, label).polarity
     }
 
     /// `δ↓(state, label, arity)`.
     #[inline]
     pub fn down(&self, state: StateId, label: Symbol, arity: usize) -> Option<&[StateId]> {
-        self.cell(state, label)
+        self.table
+            .cell(state, label)
             .down
             .iter()
             .find(|v| v.len() == arity)
@@ -298,13 +250,13 @@ impl TwoWayRanked {
     /// `δ_leaf(state, label)`.
     #[inline]
     pub fn leaf(&self, state: StateId, label: Symbol) -> Option<StateId> {
-        self.cell(state, label).leaf
+        self.table.cell(state, label).leaf
     }
 
     /// `δ_root(state, label)`.
     #[inline]
     pub fn root(&self, state: StateId, label: Symbol) -> Option<StateId> {
-        self.cell(state, label).root
+        self.table.cell(state, label).root
     }
 
     /// `δ↑(children pairs)`.
@@ -315,7 +267,7 @@ impl TwoWayRanked {
     /// Default run fuel for `tree`: generous but finite, so genuine loops
     /// surface as [`Error::FuelExhausted`] rather than hangs.
     pub fn default_fuel(&self, tree: &Tree) -> u64 {
-        64 * (self.num_states as u64) * (tree.num_nodes() as u64) + 1024
+        self.table.default_fuel(tree)
     }
 
     /// Run to a maximal configuration with a worklist engine: after a
@@ -336,6 +288,10 @@ impl TwoWayRanked {
     /// changes (initial placement, δ_leaf, δ_root), giving tree runs a
     /// replayable trace. With [`NoopObserver`] this monomorphizes to
     /// exactly `run`.
+    ///
+    /// [`Counter::CutRecomputations`]: qa_obs::Counter::CutRecomputations
+    /// [`Counter::Steps`]: qa_obs::Counter::Steps
+    /// [`Series::RunSteps`]: qa_obs::Series::RunSteps
     pub fn run_with<O: Observer>(&self, tree: &Tree, obs: &mut O) -> Result<RankedRunRecord> {
         self.run_noting(tree, obs, |_, _| {})
     }
@@ -347,164 +303,10 @@ impl TwoWayRanked {
         &self,
         tree: &Tree,
         obs: &mut O,
-        mut note: impl FnMut(NodeId, StateId),
+        note: impl FnMut(NodeId, StateId),
     ) -> Result<RankedRunRecord> {
-        if tree.rank() > self.max_rank {
-            return Err(Error::domain(format!(
-                "tree rank {} exceeds automaton rank {}",
-                tree.rank(),
-                self.max_rank
-            )));
-        }
-        let fuel = self.default_fuel(tree);
-        let n = tree.num_nodes();
-        let mut state: Vec<Option<StateId>> = vec![None; n];
-        let mut assumed = AssumedSets::new(n, self.num_states);
-        let root = tree.root();
-        state[root.index()] = Some(self.initial);
-        let mut assume = |assumed: &mut AssumedSets, v: NodeId, q: StateId| {
-            if assumed.insert(v.index(), q) {
-                note(v, q);
-            }
-        };
-        assume(&mut assumed, root, self.initial);
-        obs.config(self.initial.index() as u32, root.index() as u32, 0);
-        let mut steps = 0u64;
-        // the children's (state, label) pairs of an up attempt
-        let mut pairs: Vec<(StateId, Symbol)> = Vec::with_capacity(self.max_rank);
-
-        let mut queue: std::collections::VecDeque<NodeId> = tree.nodes().collect();
-        let mut queued = vec![true; n];
-        let enqueue =
-            |queue: &mut std::collections::VecDeque<NodeId>, queued: &mut Vec<bool>, v: NodeId| {
-                if !queued[v.index()] {
-                    queued[v.index()] = true;
-                    queue.push_back(v);
-                }
-            };
-
-        while let Some(v) = queue.pop_front() {
-            queued[v.index()] = false;
-            loop {
-                if let Err(a) = obs.checkpoint() {
-                    obs.count(Counter::BudgetTrips, 1);
-                    return Err(Error::aborted(a.what, a.limit, a.actual));
-                }
-                steps += 1;
-                if steps > fuel {
-                    obs.count(Counter::BudgetTrips, 1);
-                    return Err(Error::FuelExhausted { budget: fuel });
-                }
-                obs.count(Counter::CutRecomputations, 1);
-                let label = tree.label(v);
-                if let Some(q) = state[v.index()] {
-                    obs.state_visit(Machine::Qar, q.index() as u32, label.index() as u32);
-                    match self.polarity(q, label) {
-                        Some(Polarity::Down) if tree.is_leaf(v) => {
-                            if let Some(q2) = self.leaf(q, label) {
-                                obs.count(Counter::Steps, 1);
-                                obs.transition_fired(
-                                    Machine::Qar,
-                                    q.index() as u32,
-                                    label.index() as u32,
-                                    q2.index() as u32,
-                                );
-                                obs.config(q2.index() as u32, v.index() as u32, 0);
-                                state[v.index()] = Some(q2);
-                                assume(&mut assumed, v, q2);
-                                if let Some(p) = tree.parent(v) {
-                                    enqueue(&mut queue, &mut queued, p);
-                                }
-                                continue;
-                            }
-                        }
-                        Some(Polarity::Down) => {
-                            if let Some(down) = self.down(q, label, tree.arity(v)) {
-                                obs.count(Counter::Steps, 1);
-                                state[v.index()] = None;
-                                for (&c, &q2) in tree.children(v).iter().zip(down) {
-                                    obs.transition_fired(
-                                        Machine::Qar,
-                                        q.index() as u32,
-                                        label.index() as u32,
-                                        q2.index() as u32,
-                                    );
-                                    obs.config(q2.index() as u32, c.index() as u32, 1);
-                                    state[c.index()] = Some(q2);
-                                    assume(&mut assumed, c, q2);
-                                    enqueue(&mut queue, &mut queued, c);
-                                }
-                                // re-queue v for the all-children-already-up
-                                // case; settling children wake it otherwise.
-                                enqueue(&mut queue, &mut queued, v);
-                                break;
-                            }
-                        }
-                        Some(Polarity::Up) if v == root => {
-                            if let Some(q2) = self.root(q, label) {
-                                obs.count(Counter::Steps, 1);
-                                obs.transition_fired(
-                                    Machine::Qar,
-                                    q.index() as u32,
-                                    label.index() as u32,
-                                    q2.index() as u32,
-                                );
-                                obs.config(q2.index() as u32, root.index() as u32, 0);
-                                state[root.index()] = Some(q2);
-                                assume(&mut assumed, root, q2);
-                                continue;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                // up transition at v (children all in cut holding U pairs)
-                if !tree.is_leaf(v) && state[v.index()].is_none() {
-                    pairs.clear();
-                    let mut ok = true;
-                    for &c in tree.children(v) {
-                        match state[c.index()] {
-                            Some(q) if self.polarity(q, tree.label(c)) == Some(Polarity::Up) => {
-                                pairs.push((q, tree.label(c)));
-                            }
-                            _ => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    if ok {
-                        if let Some(q2) = self.up(&pairs) {
-                            obs.count(Counter::Steps, 1);
-                            if obs.is_enabled() {
-                                for &(q, l) in &pairs {
-                                    obs.transition_fired(
-                                        Machine::Qar,
-                                        q.index() as u32,
-                                        l.index() as u32,
-                                        q2.index() as u32,
-                                    );
-                                }
-                            }
-                            obs.config(q2.index() as u32, v.index() as u32, -1);
-                            for &c in tree.children(v) {
-                                state[c.index()] = None;
-                            }
-                            state[v.index()] = Some(q2);
-                            assume(&mut assumed, v, q2);
-                            if let Some(p) = tree.parent(v) {
-                                enqueue(&mut queue, &mut queued, p);
-                            }
-                            continue;
-                        }
-                    }
-                }
-                break;
-            }
-        }
-        obs.record(Series::RunSteps, steps);
-        let accepted = state[root.index()].is_some_and(|q| self.is_final(q))
-            && state.iter().filter(|s| s.is_some()).count() == 1;
+        self.check_rank(tree)?;
+        let (accepted, assumed, steps) = cut::run(self, tree, &mut (), obs, note)?;
         Ok(RankedRunRecord {
             accepted,
             assumed,
@@ -520,8 +322,18 @@ impl TwoWayRanked {
         &self,
         tree: &Tree,
         fuel: u64,
-        mut pick: impl FnMut(usize) -> usize,
+        pick: impl FnMut(usize) -> usize,
     ) -> Result<RankedRunRecord> {
+        self.check_rank(tree)?;
+        let ((accepted, assumed, steps), _) = cut::run_scheduled(self, tree, fuel, pick)?;
+        Ok(RankedRunRecord {
+            accepted,
+            assumed,
+            steps,
+        })
+    }
+
+    fn check_rank(&self, tree: &Tree) -> Result<()> {
         if tree.rank() > self.max_rank {
             return Err(Error::domain(format!(
                 "tree rank {} exceeds automaton rank {}",
@@ -529,131 +341,45 @@ impl TwoWayRanked {
                 self.max_rank
             )));
         }
-        let n = tree.num_nodes();
-        // cut membership + state per node
-        let mut state: Vec<Option<StateId>> = vec![None; n];
-        let mut assumed = AssumedSets::new(n, self.num_states);
-        let root = tree.root();
-        state[root.index()] = Some(self.initial);
-        assumed.insert(root.index(), self.initial);
-        let mut steps = 0u64;
-
-        #[derive(Clone, Copy, Debug)]
-        enum Move {
-            Down(NodeId),
-            Leaf(NodeId),
-            Up(NodeId),
-            Root,
-        }
-
-        loop {
-            // Collect enabled moves.
-            let mut enabled: Vec<Move> = Vec::new();
-            for v in tree.nodes() {
-                let Some(q) = state[v.index()] else { continue };
-                let label = tree.label(v);
-                match self.polarity(q, label) {
-                    Some(Polarity::Down) => {
-                        if tree.is_leaf(v) {
-                            if self.leaf(q, label).is_some() {
-                                enabled.push(Move::Leaf(v));
-                            }
-                        } else if self.down(q, label, tree.arity(v)).is_some() {
-                            enabled.push(Move::Down(v));
-                        }
-                    }
-                    Some(Polarity::Up) if v == root && self.root(q, label).is_some() => {
-                        enabled.push(Move::Root);
-                    }
-                    Some(Polarity::Up) => {}
-                    None => {}
-                }
-            }
-            // Up moves: parents whose children are all in the cut with U
-            // pairs and a defined δ↑ entry.
-            for v in tree.nodes() {
-                if tree.is_leaf(v) || state[v.index()].is_some() {
-                    continue;
-                }
-                let mut pairs = Vec::with_capacity(tree.arity(v));
-                let mut ok = true;
-                for &c in tree.children(v) {
-                    match state[c.index()] {
-                        Some(q) if self.polarity(q, tree.label(c)) == Some(Polarity::Up) => {
-                            pairs.push((q, tree.label(c)));
-                        }
-                        _ => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if ok && self.up(&pairs).is_some() {
-                    enabled.push(Move::Up(v));
-                }
-            }
-
-            if enabled.is_empty() {
-                let accepted = state[root.index()].is_some_and(|q| self.is_final(q))
-                    && state.iter().filter(|s| s.is_some()).count() == 1;
-                return Ok(RankedRunRecord {
-                    accepted,
-                    assumed,
-                    steps,
-                });
-            }
-
-            steps += 1;
-            if steps > fuel {
-                return Err(Error::FuelExhausted { budget: fuel });
-            }
-
-            let mv = enabled[pick(enabled.len()) % enabled.len()];
-            match mv {
-                Move::Leaf(v) => {
-                    let q = state[v.index()].expect("enabled");
-                    let q2 = self.leaf(q, tree.label(v)).expect("enabled");
-                    state[v.index()] = Some(q2);
-                    assumed.insert(v.index(), q2);
-                }
-                Move::Root => {
-                    let q = state[root.index()].expect("enabled");
-                    let q2 = self.root(q, tree.label(root)).expect("enabled");
-                    state[root.index()] = Some(q2);
-                    assumed.insert(root.index(), q2);
-                }
-                Move::Down(v) => {
-                    let q = state[v.index()].expect("enabled");
-                    let kids_states = self
-                        .down(q, tree.label(v), tree.arity(v))
-                        .expect("enabled")
-                        .to_vec();
-                    state[v.index()] = None;
-                    for (&c, q2) in tree.children(v).iter().zip(kids_states) {
-                        state[c.index()] = Some(q2);
-                        assumed.insert(c.index(), q2);
-                    }
-                }
-                Move::Up(v) => {
-                    let pairs: Vec<(StateId, Symbol)> = tree
-                        .children(v)
-                        .iter()
-                        .map(|&c| (state[c.index()].expect("enabled"), tree.label(c)))
-                        .collect();
-                    let q2 = self.up(&pairs).expect("enabled");
-                    for &c in tree.children(v) {
-                        state[c.index()] = None;
-                    }
-                    state[v.index()] = Some(q2);
-                    assumed.insert(v.index(), q2);
-                }
-            }
-        }
+        Ok(())
     }
 
     /// Whether the automaton accepts `tree`.
     pub fn accepts(&self, tree: &Tree) -> Result<bool> {
         Ok(self.run(tree)?.accepted)
+    }
+}
+
+impl CutRules for TwoWayRanked {
+    const MACHINE: Machine = Machine::Qar;
+    type Down = Vec<Vec<StateId>>;
+    type Folds<'r> = ();
+
+    fn table(&self) -> &Table<Self::Down> {
+        &self.table
+    }
+
+    fn down_states(
+        &self,
+        state: StateId,
+        label: Symbol,
+        arity: usize,
+    ) -> Option<impl Iterator<Item = StateId> + '_> {
+        Some(self.down(state, label, arity)?.iter().copied())
+    }
+
+    fn fold<'f, O: Observer>(
+        &self,
+        _: &'f mut (),
+        _: NodeId,
+        pairs: &[(StateId, Symbol)],
+        _: &mut O,
+    ) -> Result<Fold<&'f [StateId]>> {
+        Ok(self.up(pairs).map_or(Fold::Stuck, Fold::Up))
+    }
+
+    fn fold_at(&self, pairs: &[(StateId, Symbol)], _: u32) -> Result<Fold<Vec<StateId>>> {
+        Ok(self.up(pairs).map_or(Fold::Stuck, Fold::Up))
     }
 }
 
@@ -688,7 +414,7 @@ pub(crate) fn build_circuit_machine(
     let v1 = b.add_state();
     b.set_initial(s);
     if all_final {
-        for i in 0..b.inner.num_states {
+        for i in 0..b.inner.num_states() {
             b.set_final(StateId::from_index(i), true);
         }
     } else {

@@ -14,24 +14,13 @@
 
 use std::collections::HashMap;
 
-use qa_base::{Error, Result, Symbol};
+use qa_base::{Result, Symbol};
 use qa_obs::{Counter, Observer};
 use qa_strings::StateId;
 
-use super::stay::pair_symbol;
+use super::stay::{pair_symbol, StayScratch};
 use super::twoway::TwoWayUnranked;
-
-/// The memoized verdict for one children pair-string.
-#[derive(Clone, Debug)]
-pub(crate) enum UpEntry {
-    /// The string lies in `L↑(q)`: fold the children into `q` at the parent.
-    Up(StateId),
-    /// The string lies in `U_stay`: reassign the children to these states
-    /// (validated to be one state per child).
-    Stay(Vec<StateId>),
-    /// Neither an up nor a stay transition applies.
-    Stuck,
-}
+use crate::cut::Fold;
 
 /// Interns up/stay decisions keyed by hash-consed children pair-strings.
 ///
@@ -42,15 +31,20 @@ pub(crate) enum UpEntry {
 /// of the machine's up/stay structure and transparently resets itself when
 /// handed a different machine.
 ///
-/// Failed stay applications (GSQA errors, wrong output arity) are *not*
-/// cached, so errors surface identically on every run.
+/// Failed stay applications (GSQA errors, wrong output arity, an exhausted
+/// stay budget) are *not* cached, so errors surface identically on every
+/// run.
 ///
 /// [`TwoWayUnranked::run_cached`]: super::TwoWayUnranked::run_cached
 /// [`UnrankedQa::query_cached`]: super::UnrankedQa::query_cached
 #[derive(Debug, Default)]
 pub struct UpCache {
-    /// encoded pair-string → decision.
-    map: HashMap<Box<[u32]>, UpEntry>,
+    /// encoded pair-string → its decision's slot in `decisions`.
+    index: HashMap<Box<[u32]>, usize>,
+    /// A stay's states are validated to be one per child.
+    decisions: Vec<Fold<Box<[StateId]>>>,
+    /// The encoded pair-string of the current lookup.
+    key: Vec<u32>,
     /// Fingerprint of the machine the decisions belong to.
     fingerprint: Option<u64>,
     hits: u64,
@@ -65,12 +59,12 @@ impl UpCache {
 
     /// Number of distinct pair-strings interned so far.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.index.len()
     }
 
     /// Whether no decisions are interned.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.index.is_empty()
     }
 
     /// Lookups answered from the cache since creation (or last [`clear`]).
@@ -87,7 +81,8 @@ impl UpCache {
 
     /// Drop all interned decisions and reset the statistics.
     pub fn clear(&mut self) {
-        self.map.clear();
+        self.index.clear();
+        self.decisions.clear();
         self.fingerprint = None;
         self.hits = 0;
         self.misses = 0;
@@ -103,41 +98,50 @@ impl UpCache {
         }
     }
 
-    /// The memoized up/stay decision for `pairs`.
+    /// The memoized fold of `pairs` at a node that has taken `stays` stay
+    /// transitions. As on the uncached path, a stay's budget is checked
+    /// before its states are computed or handed out; `scratch` holds a
+    /// computed stay's states until they are interned.
     pub(crate) fn decide<O: Observer>(
         &mut self,
         machine: &TwoWayUnranked,
         pairs: &[(StateId, Symbol)],
+        stays: u32,
+        scratch: &mut StayScratch,
         obs: &mut O,
-    ) -> Result<UpEntry> {
-        let key: Box<[u32]> = pairs
-            .iter()
-            .map(|&(q, l)| pair_symbol(q, l, machine.alphabet_len()).index() as u32)
-            .collect();
-        if let Some(entry) = self.map.get(&key) {
-            self.hits += 1;
-            obs.count(Counter::CacheHits, 1);
-            return Ok(entry.clone());
-        }
-        self.misses += 1;
-        obs.count(Counter::CacheMisses, 1);
-        let entry = if let Some(q2) = machine.classify_up(pairs) {
-            UpEntry::Up(q2)
-        } else if machine.matches_stay(pairs) {
-            let rule = &machine.stay().expect("matched U_stay").rule;
-            let out = rule.apply(pairs, machine.alphabet_len())?;
-            if out.len() != pairs.len() {
-                return Err(Error::ill_formed(
-                    "S2DTAu",
-                    "stay rule must emit one state per child",
-                ));
+    ) -> Result<Fold<&[StateId]>> {
+        let sigma = machine.alphabet_len();
+        self.key.clear();
+        self.key.extend(
+            pairs
+                .iter()
+                .map(|&(q, l)| pair_symbol(q, l, sigma).index() as u32),
+        );
+        let slot = match self.index.get(self.key.as_slice()) {
+            Some(&slot) => {
+                self.hits += 1;
+                obs.count(Counter::CacheHits, 1);
+                if let Fold::Stay(_) = self.decisions[slot] {
+                    machine.check_stays(stays)?;
+                }
+                slot
             }
-            UpEntry::Stay(out)
-        } else {
-            UpEntry::Stuck
+            None => {
+                self.misses += 1;
+                obs.count(Counter::CacheMisses, 1);
+                let fold = machine.fold_into(pairs, stays, scratch)?;
+                self.decisions
+                    .push(fold.map(|()| scratch.out.as_slice().into()));
+                self.index
+                    .insert(self.key.as_slice().into(), self.decisions.len() - 1);
+                self.decisions.len() - 1
+            }
         };
-        self.map.insert(key, entry.clone());
-        Ok(entry)
+        Ok(match &self.decisions[slot] {
+            Fold::Up(q) => Fold::Up(*q),
+            Fold::Stay(states) => Fold::Stay(states),
+            Fold::Stuck => Fold::Stuck,
+        })
     }
 }
 

@@ -42,19 +42,58 @@ impl StayRule {
     /// Apply the rule to the children's `(state, label)` pairs, producing
     /// one new state per child.
     pub fn apply(&self, pairs: &[(StateId, Symbol)], alphabet_len: usize) -> Result<Vec<StateId>> {
-        let word: Vec<Symbol> = pairs
-            .iter()
-            .map(|&(q, l)| pair_symbol(q, l, alphabet_len))
-            .collect();
-        let out = match self {
-            StayRule::Bimachine(b) => b.run(&word),
-            StayRule::Machine(g) => g.run(&word)?,
-        };
-        Ok(out
-            .into_iter()
-            .map(|g| StateId::from_index(g as usize))
-            .collect())
+        let mut scratch = StayScratch::default();
+        self.apply_into(pairs, alphabet_len, &mut scratch)?;
+        Ok(scratch.out)
     }
+
+    /// [`StayRule::apply`] into `scratch.out`. A bimachine runs in the
+    /// scratch buffers without allocating once they have grown to the
+    /// widest fan-out.
+    pub(crate) fn apply_into(
+        &self,
+        pairs: &[(StateId, Symbol)],
+        alphabet_len: usize,
+        scratch: &mut StayScratch,
+    ) -> Result<()> {
+        let sym = |i: usize| pair_symbol(pairs[i].0, pairs[i].1, alphabet_len);
+        let StayScratch { prefix, out } = scratch;
+        out.clear();
+        match self {
+            // Bimachine::run's two passes: prefix states left to right,
+            // then suffix states right to left, each output read off the
+            // pair of states around its position.
+            StayRule::Bimachine(b) => {
+                prefix.clear();
+                let mut p = b.left().initial();
+                for i in 0..pairs.len() {
+                    p = b.left().next(p, sym(i)).expect("total DFA");
+                    prefix.push(p);
+                }
+                out.resize(pairs.len(), StateId::from_index(0));
+                let mut q = b.right().initial();
+                for i in (0..pairs.len()).rev() {
+                    q = b.right().next(q, sym(i)).expect("total DFA");
+                    out[i] = StateId::from_index(b.output_of(prefix[i], q, sym(i)) as usize);
+                }
+            }
+            StayRule::Machine(g) => {
+                let word: Vec<Symbol> = (0..pairs.len()).map(sym).collect();
+                let states = g.run(&word)?.into_iter();
+                out.extend(states.map(|g| StateId::from_index(g as usize)));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Buffers a run reuses across stay transitions.
+#[derive(Debug, Default)]
+pub(crate) struct StayScratch {
+    /// A bimachine's left-to-right states.
+    prefix: Vec<StateId>,
+    /// The states the last application assigned, one per child.
+    pub(crate) out: Vec<StateId>,
 }
 
 #[cfg(test)]

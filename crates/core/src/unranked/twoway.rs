@@ -8,9 +8,10 @@ use qa_strings::{Dfa, SlenderLang, StateId};
 use qa_trees::{NodeId, Tree};
 use qa_twoway::AssumedSets;
 
-use super::cache::{UpCache, UpEntry};
-use super::stay::{pair_alphabet_len, pair_symbol, StayRule};
-use crate::ranked::twoway::{pairs, Cell, Polarity};
+use super::cache::UpCache;
+use super::stay::{pair_alphabet_len, pair_symbol, StayRule, StayScratch};
+use crate::cut::{self, CutRules, Fold, Table};
+use crate::ranked::twoway::Polarity;
 
 /// A two-way deterministic unranked tree automaton, optionally *generalized*
 /// with stay transitions (Definition 5.11) and *strong* when the per-node
@@ -29,12 +30,8 @@ use crate::ranked::twoway::{pairs, Cell, Polarity};
 ///   child states.
 #[derive(Clone, Debug)]
 pub struct TwoWayUnranked {
-    alphabet_len: usize,
-    num_states: usize,
-    initial: StateId,
-    finals: Vec<bool>,
-    /// `cells[state · |Σ| + symbol]`, with `L↓` as `down`.
-    cells: Vec<Cell<Option<SlenderLang>>>,
+    /// `L↓` is each cell's `down`.
+    table: Table<Option<SlenderLang>>,
     /// Total classifier over the pair alphabet.
     up_classifier: Option<Dfa>,
     /// `up_assign[classifier state]`: the assigned automaton state.
@@ -67,11 +64,7 @@ impl TwoWayUnrankedBuilder {
     pub fn new(alphabet_len: usize) -> Self {
         TwoWayUnrankedBuilder {
             inner: TwoWayUnranked {
-                alphabet_len,
-                num_states: 0,
-                initial: StateId::from_index(0),
-                finals: Vec::new(),
-                cells: Vec::new(),
+                table: Table::new(alphabet_len),
                 up_classifier: None,
                 up_assign: Vec::new(),
                 stay: None,
@@ -82,62 +75,49 @@ impl TwoWayUnrankedBuilder {
 
     /// Add a fresh state.
     pub fn add_state(&mut self) -> StateId {
-        let id = StateId::from_index(self.inner.num_states);
-        self.inner.num_states += 1;
-        self.inner.finals.push(false);
-        let len = self.inner.cells.len() + self.inner.alphabet_len;
-        self.inner.cells.resize(len, Cell::default());
-        id
-    }
-
-    fn cell(&mut self, state: StateId, label: Symbol) -> &mut Cell<Option<SlenderLang>> {
-        let slot = state.index() * self.inner.alphabet_len + label.index();
-        &mut self.inner.cells[slot]
+        self.inner.table.add_state()
     }
 
     /// Set the initial state.
     pub fn set_initial(&mut self, state: StateId) -> &mut Self {
-        self.inner.initial = state;
+        self.inner.table.initial = state;
         self
     }
 
     /// Mark `state` final.
     pub fn set_final(&mut self, state: StateId, is_final: bool) -> &mut Self {
-        self.inner.finals[state.index()] = is_final;
+        self.inner.table.finals[state.index()] = is_final;
         self
     }
 
     /// Put `(state, label)` into `U` or `D`.
     pub fn set_polarity(&mut self, state: StateId, label: Symbol, p: Polarity) -> &mut Self {
-        self.cell(state, label).polarity = Some(p);
+        self.inner.table.cell_mut(state, label).polarity = Some(p);
         self
     }
 
     /// Put `(state, ·)` into `U` or `D` for every label.
     pub fn set_polarity_all(&mut self, state: StateId, p: Polarity) -> &mut Self {
-        let sigma = self.inner.alphabet_len;
-        for cell in &mut self.inner.cells[state.index() * sigma..][..sigma] {
-            cell.polarity = Some(p);
-        }
+        self.inner.table.set_polarity_all(state, p);
         self
     }
 
     /// Define `L↓(state, label)` as a slender language over the *state*
     /// alphabet (symbol `i` = state `i`).
     pub fn set_down(&mut self, state: StateId, label: Symbol, lang: SlenderLang) -> &mut Self {
-        self.cell(state, label).down = Some(lang);
+        self.inner.table.cell_mut(state, label).down = Some(lang);
         self
     }
 
     /// Define `δ_leaf(state, label) = next`.
     pub fn set_leaf(&mut self, state: StateId, label: Symbol, next: StateId) -> &mut Self {
-        self.cell(state, label).leaf = Some(next);
+        self.inner.table.cell_mut(state, label).leaf = Some(next);
         self
     }
 
     /// Define `δ_root(state, label) = next`.
     pub fn set_root(&mut self, state: StateId, label: Symbol, next: StateId) -> &mut Self {
-        self.cell(state, label).root = Some(next);
+        self.inner.table.cell_mut(state, label).root = Some(next);
         self
     }
 
@@ -157,10 +137,10 @@ impl TwoWayUnrankedBuilder {
     /// Validate and finish.
     pub fn build(mut self) -> Result<TwoWayUnranked> {
         let m = &mut self.inner;
-        if m.num_states == 0 {
+        if m.table.num_states == 0 {
             return Err(Error::ill_formed("2DTAu", "no states"));
         }
-        for (q, s, c) in pairs(&m.cells, m.alphabet_len) {
+        for (q, s, c) in m.table.pairs() {
             let (down, up) = (Some(Polarity::Down), Some(Polarity::Up));
             let misplaced = if c.leaf.is_some() && c.polarity != down {
                 "δ_leaf on non-D pair"
@@ -176,7 +156,7 @@ impl TwoWayUnrankedBuilder {
                 format!("{misplaced} ({q:?}, {s:?})"),
             ));
         }
-        let pal = pair_alphabet_len(m.num_states, m.alphabet_len);
+        let pal = pair_alphabet_len(m.table.num_states, m.table.alphabet_len);
         // Fold the up languages into one classifier, checking disjointness.
         let mut classifier: Option<Dfa> = None;
         let mut assign: Vec<Option<StateId>> = Vec::new();
@@ -287,51 +267,46 @@ pub struct UnrankedRunRecord {
 impl TwoWayUnranked {
     /// Alphabet size.
     pub fn alphabet_len(&self) -> usize {
-        self.alphabet_len
+        self.table.alphabet_len
     }
 
     /// Number of states.
     pub fn num_states(&self) -> usize {
-        self.num_states
+        self.table.num_states
     }
 
     /// The initial state.
     pub fn initial(&self) -> StateId {
-        self.initial
+        self.table.initial
     }
 
     /// Whether `state` is final.
     pub fn is_final(&self, state: StateId) -> bool {
-        self.finals[state.index()]
-    }
-
-    #[inline]
-    fn cell(&self, state: StateId, label: Symbol) -> &Cell<Option<SlenderLang>> {
-        &self.cells[state.index() * self.alphabet_len + label.index()]
+        self.table.finals[state.index()]
     }
 
     /// The polarity of `(state, label)`.
     #[inline]
     pub fn polarity(&self, state: StateId, label: Symbol) -> Option<Polarity> {
-        self.cell(state, label).polarity
+        self.table.cell(state, label).polarity
     }
 
     /// `L↓(state, label)`.
     #[inline]
     pub fn down(&self, state: StateId, label: Symbol) -> Option<&SlenderLang> {
-        self.cell(state, label).down.as_ref()
+        self.table.cell(state, label).down.as_ref()
     }
 
     /// `δ_leaf(state, label)`.
     #[inline]
     pub fn leaf(&self, state: StateId, label: Symbol) -> Option<StateId> {
-        self.cell(state, label).leaf
+        self.table.cell(state, label).leaf
     }
 
     /// `δ_root(state, label)`.
     #[inline]
     pub fn root(&self, state: StateId, label: Symbol) -> Option<StateId> {
-        self.cell(state, label).root
+        self.table.cell(state, label).root
     }
 
     /// The stay block, if the machine is generalized.
@@ -351,9 +326,9 @@ impl TwoWayUnranked {
     pub(crate) fn cache_fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.num_states.hash(&mut h);
-        self.alphabet_len.hash(&mut h);
-        let pal = pair_alphabet_len(self.num_states, self.alphabet_len);
+        self.num_states().hash(&mut h);
+        self.alphabet_len().hash(&mut h);
+        let pal = pair_alphabet_len(self.num_states(), self.alphabet_len());
         let hash_dfa = |dfa: &Dfa, h: &mut std::collections::hash_map::DefaultHasher| {
             dfa.num_states().hash(h);
             dfa.initial().index().hash(h);
@@ -392,7 +367,7 @@ impl TwoWayUnranked {
         let classifier = self.up_classifier.as_ref()?;
         let mut cs = classifier.initial();
         for &(q, l) in pairs {
-            cs = classifier.next(cs, pair_symbol(q, l, self.alphabet_len))?;
+            cs = classifier.next(cs, pair_symbol(q, l, self.alphabet_len()))?;
         }
         self.up_assign[cs.index()]
     }
@@ -402,7 +377,10 @@ impl TwoWayUnranked {
         let Some(stay) = &self.stay else { return false };
         let mut cs = stay.matcher.initial();
         for &(q, l) in pairs {
-            match stay.matcher.next(cs, pair_symbol(q, l, self.alphabet_len)) {
+            match stay
+                .matcher
+                .next(cs, pair_symbol(q, l, self.alphabet_len()))
+            {
                 Some(next) => cs = next,
                 None => return false,
             }
@@ -412,7 +390,7 @@ impl TwoWayUnranked {
 
     /// Generous default fuel (loops surface as [`Error::FuelExhausted`]).
     pub fn default_fuel(&self, tree: &Tree) -> u64 {
-        64 * (self.num_states as u64) * (tree.num_nodes() as u64) + 1024
+        self.table.default_fuel(tree)
     }
 
     /// Run to a maximal configuration with a worklist engine: after a
@@ -460,249 +438,26 @@ impl TwoWayUnranked {
     pub(crate) fn run_impl<O: Observer>(
         &self,
         tree: &Tree,
-        mut cache: Option<&mut UpCache>,
+        cache: Option<&mut UpCache>,
         obs: &mut O,
-        mut note: impl FnMut(NodeId, StateId),
+        note: impl FnMut(NodeId, StateId),
     ) -> Result<UnrankedRunRecord> {
-        let fuel = self.default_fuel(tree);
-        let n = tree.num_nodes();
-        let mut state: Vec<Option<StateId>> = vec![None; n];
-        let mut assumed = AssumedSets::new(n, self.num_states);
-        let mut stays: Vec<u32> = vec![0; n];
-        let root = tree.root();
-        state[root.index()] = Some(self.initial);
-        let mut assume = |assumed: &mut AssumedSets, v: NodeId, q: StateId| {
-            if assumed.insert(v.index(), q) {
-                note(v, q);
-            }
+        let mut folds = Folds {
+            cache,
+            stays: vec![0; tree.num_nodes()],
+            scratch: StayScratch::default(),
         };
-        assume(&mut assumed, root, self.initial);
-        obs.config(self.initial.index() as u32, root.index() as u32, 0);
-        let mut steps = 0u64;
-        // the children's (state, label) pairs of an up or stay attempt
-        let mut pairs: Vec<(StateId, Symbol)> = Vec::new();
-
-        // worklist of nodes to examine; in-queue flags prevent duplicates
-        let mut queue: std::collections::VecDeque<NodeId> = tree.nodes().collect();
-        let mut queued = vec![true; n];
-        let enqueue =
-            |queue: &mut std::collections::VecDeque<NodeId>, queued: &mut Vec<bool>, v: NodeId| {
-                if !queued[v.index()] {
-                    queued[v.index()] = true;
-                    queue.push_back(v);
-                }
-            };
-
-        while let Some(v) = queue.pop_front() {
-            queued[v.index()] = false;
-            // keep firing at `v` until nothing applies here
-            loop {
-                if let Err(a) = obs.checkpoint() {
-                    obs.count(Counter::BudgetTrips, 1);
-                    return Err(Error::aborted(a.what, a.limit, a.actual));
-                }
-                steps += 1;
-                if steps > fuel {
-                    obs.count(Counter::BudgetTrips, 1);
-                    return Err(Error::FuelExhausted { budget: fuel });
-                }
-                obs.count(Counter::CutRecomputations, 1);
-                let label = tree.label(v);
-                // moves of a cut member at v
-                if let Some(q) = state[v.index()] {
-                    obs.state_visit(Machine::Qau, q.index() as u32, label.index() as u32);
-                    match self.polarity(q, label) {
-                        Some(Polarity::Down) if tree.is_leaf(v) => {
-                            if let Some(q2) = self.leaf(q, label) {
-                                obs.count(Counter::Steps, 1);
-                                obs.transition_fired(
-                                    Machine::Qau,
-                                    q.index() as u32,
-                                    label.index() as u32,
-                                    q2.index() as u32,
-                                );
-                                obs.config(q2.index() as u32, v.index() as u32, 0);
-                                state[v.index()] = Some(q2);
-                                assume(&mut assumed, v, q2);
-                                if let Some(p) = tree.parent(v) {
-                                    enqueue(&mut queue, &mut queued, p);
-                                }
-                                continue;
-                            }
-                        }
-                        Some(Polarity::Down) => {
-                            let arity = tree.arity(v);
-                            if let Some(lang) = self.down(q, label).filter(|l| l.has_length(arity))
-                            {
-                                obs.count(Counter::Steps, 1);
-                                state[v.index()] = None;
-                                for (i, &c) in tree.children(v).iter().enumerate() {
-                                    let s = lang.symbol_at(arity, i).expect("length present");
-                                    let q2 = StateId::from_index(s.index());
-                                    obs.transition_fired(
-                                        Machine::Qau,
-                                        q.index() as u32,
-                                        label.index() as u32,
-                                        q2.index() as u32,
-                                    );
-                                    obs.config(q2.index() as u32, c.index() as u32, 1);
-                                    state[c.index()] = Some(q2);
-                                    assume(&mut assumed, c, q2);
-                                    enqueue(&mut queue, &mut queued, c);
-                                }
-                                // children that settle later wake v through
-                                // their up transitions; re-queue v now for
-                                // the case where they are all already in
-                                // up states.
-                                enqueue(&mut queue, &mut queued, v);
-                                break;
-                            }
-                        }
-                        Some(Polarity::Up) if v == root => {
-                            if let Some(q2) = self.root(q, label) {
-                                obs.count(Counter::Steps, 1);
-                                obs.transition_fired(
-                                    Machine::Qau,
-                                    q.index() as u32,
-                                    label.index() as u32,
-                                    q2.index() as u32,
-                                );
-                                obs.config(q2.index() as u32, root.index() as u32, 0);
-                                state[root.index()] = Some(q2);
-                                assume(&mut assumed, root, q2);
-                                continue;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                // up/stay at v (children all in cut holding U pairs)
-                if !tree.is_leaf(v) && state[v.index()].is_none() {
-                    pairs.clear();
-                    let mut ok = true;
-                    for &c in tree.children(v) {
-                        match state[c.index()] {
-                            Some(q) if self.polarity(q, tree.label(c)) == Some(Polarity::Up) => {
-                                pairs.push((q, tree.label(c)));
-                            }
-                            _ => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    if ok {
-                        obs.count(Counter::TableLookups, 1);
-                        // One decision per pair-string: from the cache when
-                        // one is supplied, else computed in place. The
-                        // uncached path defers the stay-rule application
-                        // until after the budget check below.
-                        let decision = match cache.as_deref_mut() {
-                            Some(c) => c.decide(self, &pairs, obs)?,
-                            None => {
-                                if let Some(q2) = self.classify_up(&pairs) {
-                                    UpEntry::Up(q2)
-                                } else if self.matches_stay(&pairs) {
-                                    UpEntry::Stay(Vec::new())
-                                } else {
-                                    UpEntry::Stuck
-                                }
-                            }
-                        };
-                        match decision {
-                            UpEntry::Up(q2) => {
-                                obs.count(Counter::Steps, 1);
-                                if obs.is_enabled() {
-                                    for &(q, l) in &pairs {
-                                        obs.transition_fired(
-                                            Machine::Qau,
-                                            q.index() as u32,
-                                            l.index() as u32,
-                                            q2.index() as u32,
-                                        );
-                                    }
-                                }
-                                obs.config(q2.index() as u32, v.index() as u32, -1);
-                                for &c in tree.children(v) {
-                                    state[c.index()] = None;
-                                }
-                                state[v.index()] = Some(q2);
-                                assume(&mut assumed, v, q2);
-                                if let Some(p) = tree.parent(v) {
-                                    enqueue(&mut queue, &mut queued, p);
-                                }
-                                continue;
-                            }
-                            UpEntry::Stay(precomputed) => {
-                                let budget = self
-                                    .stay
-                                    .as_ref()
-                                    .map(|s| s.max_stays_per_node)
-                                    .unwrap_or(0);
-                                if stays[v.index()] >= budget {
-                                    return Err(Error::ill_formed(
-                                        "S2DTAu",
-                                        format!(
-                                            "stay budget ({budget}) exhausted at a node — \
-                                             the machine is not strong"
-                                        ),
-                                    ));
-                                }
-                                let new_states = if precomputed.is_empty() && !pairs.is_empty() {
-                                    let rule = &self.stay.as_ref().expect("matched").rule;
-                                    let out = rule.apply(&pairs, self.alphabet_len)?;
-                                    if out.len() != pairs.len() {
-                                        return Err(Error::ill_formed(
-                                            "S2DTAu",
-                                            "stay rule must emit one state per child",
-                                        ));
-                                    }
-                                    out
-                                } else {
-                                    precomputed
-                                };
-                                stays[v.index()] += 1;
-                                obs.count(Counter::Steps, 1);
-                                obs.count(Counter::StayRounds, 1);
-                                for (&c, q2) in tree.children(v).iter().zip(new_states) {
-                                    obs.transition_fired(
-                                        Machine::Qau,
-                                        state[c.index()].map_or(u32::MAX, |q| q.index() as u32),
-                                        tree.label(c).index() as u32,
-                                        q2.index() as u32,
-                                    );
-                                    obs.stay_assign(
-                                        v.index() as u32,
-                                        c.index() as u32,
-                                        q2.index() as u32,
-                                    );
-                                    obs.config(q2.index() as u32, c.index() as u32, 0);
-                                    state[c.index()] = Some(q2);
-                                    assume(&mut assumed, c, q2);
-                                    enqueue(&mut queue, &mut queued, c);
-                                }
-                                continue;
-                            }
-                            UpEntry::Stuck => {}
-                        }
-                    }
-                }
-                break;
-            }
-        }
-        obs.record(Series::RunSteps, steps);
+        let (accepted, assumed, steps) = cut::run(self, tree, &mut folds, obs, note)?;
         if obs.is_enabled() {
-            for &s in &stays {
+            for &s in &folds.stays {
                 obs.record(Series::StaysPerNode, s as u64);
             }
         }
-        let accepted = state[root.index()].is_some_and(|q| self.is_final(q))
-            && state.iter().filter(|s| s.is_some()).count() == 1;
         Ok(UnrankedRunRecord {
             accepted,
             assumed,
             steps,
-            stays,
+            stays: folds.stays,
         })
     }
 
@@ -713,173 +468,123 @@ impl TwoWayUnranked {
         &self,
         tree: &Tree,
         fuel: u64,
-        mut pick: impl FnMut(usize) -> usize,
+        pick: impl FnMut(usize) -> usize,
     ) -> Result<UnrankedRunRecord> {
-        let n = tree.num_nodes();
-        let mut state: Vec<Option<StateId>> = vec![None; n];
-        let mut assumed = AssumedSets::new(n, self.num_states);
-        let mut stays: Vec<u32> = vec![0; n];
-        let root = tree.root();
-        state[root.index()] = Some(self.initial);
-        assumed.insert(root.index(), self.initial);
-        let mut steps = 0u64;
+        let ((accepted, assumed, steps), stays) = cut::run_scheduled(self, tree, fuel, pick)?;
+        Ok(UnrankedRunRecord {
+            accepted,
+            assumed,
+            steps,
+            stays,
+        })
+    }
 
-        #[derive(Clone, Copy)]
-        enum Move {
-            Down(NodeId),
-            Leaf(NodeId),
-            Up(NodeId),
-            Stay(NodeId),
-            Root,
+    /// The fold of the children's `pairs` at a node that has taken `stays`
+    /// stay transitions, with a stay's states left in `scratch.out`. The
+    /// stay budget is checked before the stay rule runs.
+    pub(crate) fn fold_into(
+        &self,
+        pairs: &[(StateId, Symbol)],
+        stays: u32,
+        scratch: &mut StayScratch,
+    ) -> Result<Fold<()>> {
+        if let Some(q) = self.classify_up(pairs) {
+            return Ok(Fold::Up(q));
         }
-
-        loop {
-            let mut enabled: Vec<Move> = Vec::new();
-            for v in tree.nodes() {
-                let Some(q) = state[v.index()] else { continue };
-                let label = tree.label(v);
-                match self.polarity(q, label) {
-                    Some(Polarity::Down) => {
-                        if tree.is_leaf(v) {
-                            if self.leaf(q, label).is_some() {
-                                enabled.push(Move::Leaf(v));
-                            }
-                        } else if self
-                            .down(q, label)
-                            .is_some_and(|l| l.has_length(tree.arity(v)))
-                        {
-                            enabled.push(Move::Down(v));
-                        }
-                    }
-                    Some(Polarity::Up) if v == root && self.root(q, label).is_some() => {
-                        enabled.push(Move::Root);
-                    }
-                    Some(Polarity::Up) => {}
-                    None => {}
-                }
-            }
-            for v in tree.nodes() {
-                if tree.is_leaf(v) || state[v.index()].is_some() {
-                    continue;
-                }
-                let mut pairs = Vec::with_capacity(tree.arity(v));
-                let mut ok = true;
-                for &c in tree.children(v) {
-                    match state[c.index()] {
-                        Some(q) if self.polarity(q, tree.label(c)) == Some(Polarity::Up) => {
-                            pairs.push((q, tree.label(c)));
-                        }
-                        _ => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if !ok {
-                    continue;
-                }
-                if self.classify_up(&pairs).is_some() {
-                    enabled.push(Move::Up(v));
-                } else if self.matches_stay(&pairs) {
-                    let budget = self
-                        .stay
-                        .as_ref()
-                        .map(|s| s.max_stays_per_node)
-                        .unwrap_or(0);
-                    if stays[v.index()] < budget {
-                        enabled.push(Move::Stay(v));
-                    } else {
-                        return Err(Error::ill_formed(
-                            "S2DTAu",
-                            format!(
-                                "stay budget ({budget}) exhausted at a node — \
-                                 the machine is not strong"
-                            ),
-                        ));
-                    }
-                }
-            }
-
-            if enabled.is_empty() {
-                let accepted = state[root.index()].is_some_and(|q| self.is_final(q))
-                    && state.iter().filter(|s| s.is_some()).count() == 1;
-                return Ok(UnrankedRunRecord {
-                    accepted,
-                    assumed,
-                    steps,
-                    stays,
-                });
-            }
-            steps += 1;
-            if steps > fuel {
-                return Err(Error::FuelExhausted { budget: fuel });
-            }
-            match enabled[pick(enabled.len()) % enabled.len()] {
-                Move::Leaf(v) => {
-                    let q = state[v.index()].expect("enabled");
-                    let q2 = self.leaf(q, tree.label(v)).expect("enabled");
-                    state[v.index()] = Some(q2);
-                    assumed.insert(v.index(), q2);
-                }
-                Move::Root => {
-                    let q = state[root.index()].expect("enabled");
-                    let q2 = self.root(q, tree.label(root)).expect("enabled");
-                    state[root.index()] = Some(q2);
-                    assumed.insert(root.index(), q2);
-                }
-                Move::Down(v) => {
-                    let q = state[v.index()].expect("enabled");
-                    let lang = self.down(q, tree.label(v)).expect("enabled");
-                    let word = lang
-                        .string_of_length(tree.arity(v))
-                        .expect("enabled: length present");
-                    state[v.index()] = None;
-                    for (&c, s) in tree.children(v).iter().zip(word) {
-                        let q2 = StateId::from_index(s.index());
-                        state[c.index()] = Some(q2);
-                        assumed.insert(c.index(), q2);
-                    }
-                }
-                Move::Up(v) => {
-                    let pairs: Vec<(StateId, Symbol)> = tree
-                        .children(v)
-                        .iter()
-                        .map(|&c| (state[c.index()].expect("enabled"), tree.label(c)))
-                        .collect();
-                    let q2 = self.classify_up(&pairs).expect("enabled");
-                    for &c in tree.children(v) {
-                        state[c.index()] = None;
-                    }
-                    state[v.index()] = Some(q2);
-                    assumed.insert(v.index(), q2);
-                }
-                Move::Stay(v) => {
-                    let pairs: Vec<(StateId, Symbol)> = tree
-                        .children(v)
-                        .iter()
-                        .map(|&c| (state[c.index()].expect("enabled"), tree.label(c)))
-                        .collect();
-                    let rule = &self.stay.as_ref().expect("enabled").rule;
-                    let new_states = rule.apply(&pairs, self.alphabet_len)?;
-                    if new_states.len() != pairs.len() {
-                        return Err(Error::ill_formed(
-                            "S2DTAu",
-                            "stay rule must emit one state per child",
-                        ));
-                    }
-                    stays[v.index()] += 1;
-                    for (&c, q2) in tree.children(v).iter().zip(new_states) {
-                        state[c.index()] = Some(q2);
-                        assumed.insert(c.index(), q2);
-                    }
-                }
-            }
+        if !self.matches_stay(pairs) {
+            return Ok(Fold::Stuck);
         }
+        self.check_stays(stays)?;
+        let rule = &self.stay.as_ref().expect("matched U_stay").rule;
+        rule.apply_into(pairs, self.alphabet_len(), scratch)?;
+        if scratch.out.len() != pairs.len() {
+            return Err(Error::ill_formed(
+                "S2DTAu",
+                "stay rule must emit one state per child",
+            ));
+        }
+        Ok(Fold::Stay(()))
+    }
+
+    /// Fail unless a node that has taken `stays` stay transitions may take
+    /// another.
+    pub(crate) fn check_stays(&self, stays: u32) -> Result<()> {
+        let budget = self.stay.as_ref().map_or(0, |s| s.max_stays_per_node);
+        if stays < budget {
+            return Ok(());
+        }
+        Err(Error::ill_formed(
+            "S2DTAu",
+            format!("stay budget ({budget}) exhausted at a node — the machine is not strong"),
+        ))
     }
 
     /// Whether the machine accepts `tree`.
     pub fn accepts(&self, tree: &Tree) -> Result<bool> {
         Ok(self.run(tree)?.accepted)
+    }
+}
+
+/// What an unranked worklist run keeps for its folds.
+pub(crate) struct Folds<'c> {
+    cache: Option<&'c mut UpCache>,
+    /// Stay transitions taken per node.
+    stays: Vec<u32>,
+    scratch: StayScratch,
+}
+
+impl CutRules for TwoWayUnranked {
+    const MACHINE: Machine = Machine::Qau;
+    type Down = Option<SlenderLang>;
+    type Folds<'c> = Folds<'c>;
+
+    fn table(&self) -> &Table<Self::Down> {
+        &self.table
+    }
+
+    fn down_states(
+        &self,
+        state: StateId,
+        label: Symbol,
+        arity: usize,
+    ) -> Option<impl Iterator<Item = StateId> + '_> {
+        let lang = self.down(state, label).filter(|l| l.has_length(arity))?;
+        Some((0..arity).map(move |i| {
+            let s = lang.symbol_at(arity, i).expect("length present");
+            StateId::from_index(s.index())
+        }))
+    }
+
+    /// One decision per pair-string: from the cache when the run has one,
+    /// else computed in place.
+    fn fold<'f, O: Observer>(
+        &self,
+        folds: &'f mut Folds<'_>,
+        v: NodeId,
+        pairs: &[(StateId, Symbol)],
+        obs: &mut O,
+    ) -> Result<Fold<&'f [StateId]>> {
+        obs.count(Counter::TableLookups, 1);
+        let stays = folds.stays[v.index()];
+        let fold = match &mut folds.cache {
+            Some(cache) => cache.decide(self, pairs, stays, &mut folds.scratch, obs)?,
+            None => {
+                let scratch = &mut folds.scratch;
+                self.fold_into(pairs, stays, scratch)?
+                    .map(|()| scratch.out.as_slice())
+            }
+        };
+        if let Fold::Stay(_) = fold {
+            folds.stays[v.index()] += 1;
+        }
+        Ok(fold)
+    }
+
+    fn fold_at(&self, pairs: &[(StateId, Symbol)], stays: u32) -> Result<Fold<Vec<StateId>>> {
+        let mut scratch = StayScratch::default();
+        Ok(self
+            .fold_into(pairs, stays, &mut scratch)?
+            .map(|()| scratch.out))
     }
 }
 

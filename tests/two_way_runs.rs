@@ -5,6 +5,7 @@
 use query_automata::base::rng::{Rng, StdRng};
 use query_automata::core::ranked::twoway::Polarity;
 use query_automata::core::unranked::stay::{pair_alphabet_len, pair_symbol};
+use query_automata::core::unranked::twoway::StayBlock;
 use query_automata::core::unranked::UpCache;
 use query_automata::obs::{Abort, Counter, Machine, Metrics, Series};
 use query_automata::prelude::*;
@@ -530,4 +531,56 @@ fn run_hooks_are_pinned() {
         ("wide unranked cached", 0x7d04_6217_deec_fb7c),
     ];
     assert_eq!(got, want);
+}
+
+#[test]
+fn cached_and_uncached_runs_fail_alike_on_an_exhausted_stay_budget() {
+    // s descends and turns u at the leaves. Any string of u and w pairs is
+    // in U_stay; the stay rule's GSQA turns every u into w and halts in a
+    // non-final state on a w. The root's second stay round, on w w, is
+    // over the budget of 1: both paths report that before the rule runs.
+    let a = Symbol::from_index(0);
+    let mut b = TwoWayUnrankedBuilder::new(1);
+    let (s, u, w) = (b.add_state(), b.add_state(), b.add_state());
+    b.set_initial(s);
+    b.set_polarity_all(s, Polarity::Down);
+    b.set_polarity_all(u, Polarity::Up);
+    b.set_polarity_all(w, Polarity::Up);
+    b.set_down(s, a, SlenderLang::uniform(Symbol::from_index(s.index())));
+    b.set_leaf(s, a, u);
+    let (pu, pw) = (pair_symbol(u, a, 1), pair_symbol(w, a, 1));
+    let mut matcher = Dfa::new(pair_alphabet_len(3, 1));
+    let (m0, m1) = (matcher.add_state(), matcher.add_state());
+    matcher.set_initial(m0);
+    matcher.set_accepting(m1, true);
+    for p in [pu, pw] {
+        matcher.set_transition(m0, p, m1);
+        matcher.set_transition(m1, p, m1);
+    }
+    let mut sweep = TwoDfaBuilder::new(pair_alphabet_len(3, 1));
+    let (g0, g1, done) = (sweep.add_state(), sweep.add_state(), sweep.add_state());
+    sweep.set_initial(g0);
+    sweep.set_final(done, true);
+    sweep.set_action(g0, Tape::LeftMarker, Dir::Right, g1);
+    sweep.set_action(g1, Tape::Sym(pu), Dir::Right, g1);
+    sweep.set_action(g1, Tape::RightMarker, Dir::Left, done);
+    let mut rule = Gsqa::new(sweep.build().unwrap(), 3);
+    rule.set_output(g1, pu, w.index() as u32);
+    b.set_stay(StayBlock {
+        matcher,
+        rule: StayRule::Machine(rule),
+        max_stays_per_node: 1,
+    });
+    let qa = UnrankedQa::new(b.build().unwrap());
+    let t = from_sexpr("(a a a)", &mut Alphabet::from_names(["a"])).unwrap();
+    let uncached = qa.query_with(&t, &mut NoopObserver).unwrap_err();
+    let cached = qa
+        .query_cached(&t, &mut UpCache::new(), &mut NoopObserver)
+        .unwrap_err();
+    assert_eq!(
+        uncached.to_string(),
+        "ill-formed automaton (S2DTAu): stay budget (1) exhausted at a node — \
+         the machine is not strong"
+    );
+    assert_eq!(cached.to_string(), uncached.to_string());
 }
