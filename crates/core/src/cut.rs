@@ -108,7 +108,7 @@ impl<D> Table<D> {
 }
 
 /// What a node whose children all hold up pairs does with them.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) enum Fold<S> {
     /// Fold the children into this state at the parent (`δ↑`, `L↑`).
     Up(StateId),
